@@ -175,7 +175,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_distance(args) -> int:
     doc = _load_json(args.code)
-    if "constituents" in doc:
+    if isinstance(doc, dict) and "constituents" in doc:
         code = qa_from_descriptor(doc).flattened
     else:
         code = code_from_descriptor(doc)
@@ -191,8 +191,7 @@ def _cmd_distance(args) -> int:
 def _cmd_search(args) -> int:
     group = _parse_group(args.group)
     spec = SearchSpec(q=args.q, group=group, index=args.index, d_min=args.dmin,
-                      dim_target=args.dim,
-                      caps=Caps(args.cap_codewords, args.cap_subspaces))
+                      dim_target=args.dim, caps=args.caps)
     result = search(spec)
     dec = decompose_algebra(group, args.q)
     fspec = dec.spec
@@ -366,6 +365,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.caps = Caps(args.cap_codewords, args.cap_subspaces)
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

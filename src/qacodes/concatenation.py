@@ -444,6 +444,8 @@ def qa_to_descriptor(qa: QACode) -> dict:
 
 
 def qa_from_descriptor(obj: dict) -> QACode:
+    if not isinstance(obj, dict):
+        raise ValueError("descriptor must be a JSON object")
     group = AbelianGroup(obj["group"])
     q = int(obj["q"])
     index = int(obj["index"])

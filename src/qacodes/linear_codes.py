@@ -413,6 +413,8 @@ def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode
     "q"/"modulus" keys (written by code_to_descriptor) or, failing that, from
     the element string widths.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("descriptor must be a JSON object")
     degree = int(obj["field_degree"])
     length = int(obj["length"])
     gens = obj.get("generators", [])

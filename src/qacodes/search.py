@@ -1,16 +1,27 @@
 """Exhaustive search for quasi-abelian codes meeting a distance target.
 
+By the concatenated structure, a quasi-abelian code is the direct sum of one
+concatenated piece per cyclotomic class, so its codewords are exactly the
+sums of one codeword from each piece.  The search weighs codes that way.
+
 Stage 1 concatenates every nonzero outer code of the chosen index with every
-minimal ideal and keeps the combinations whose exact minimum distance
-reaches the target.  Later stages extend surviving assignments one class at
-a time; this is complete because every sub-assignment of a survivor is
-itself a survivor (a direct summand has at least the distance of the sum).
-Results are deduplicated by (parameters, weight distribution) - a proxy for
-code equivalence, which is deliberately out of scope.
+minimal ideal and keeps, under an integer id, the combinations whose exact
+minimum distance reaches the target; the span of each survivor is stored
+once, one row of element codes per codeword.  Later stages extend surviving
+id tuples one class at a time.  Candidates are selected with array masks
+(class order, dimension target, Singleton bound, subset closure), and all
+candidates of one dimension are weighed at once: the span of each is the
+field sum of the base span and its stored span.  The search is complete
+because every sub-assignment of a survivor is itself a survivor (a direct
+summand has at least the distance of the sum); the same fact prunes a
+candidate one of whose sub-assignments did not survive.  Results are
+deduplicated by (parameters, weight distribution) - a proxy for code
+equivalence, which is deliberately out of scope.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +32,20 @@ from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
                            LinearCode, enumerate_codes)
 
+# broadcast span sums are materialized at most this many codewords at a time
+_BLOCK_CODEWORDS = 2 ** 16
+
 
 @dataclass(frozen=True)
 class Caps:
     codewords: int = DEFAULT_CODEWORD_CAP
     subspaces: int = DEFAULT_SUBSPACE_CAP
+
+    def __post_init__(self):
+        if self.codewords < 1:
+            raise ValueError(f"codeword cap must be positive, got {self.codewords}")
+        if self.subspaces < 1:
+            raise ValueError(f"subspace cap must be positive, got {self.subspaces}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +62,8 @@ class SearchSpec:
             raise ValueError("distance target must be positive")
         if self.index < 1:
             raise ValueError("index must be positive")
+        if self.dim_target is not None and self.dim_target < 1:
+            raise ValueError(f"dimension target must be positive, got {self.dim_target}")
 
 
 @dataclass(frozen=True)
@@ -67,107 +89,118 @@ class SearchResult:
         return [e for e in self.codes if e.params.dim == dim]
 
 
-class _Evaluator:
-    """Shared state for evaluating candidate assignments quickly.
+class _Kernel:
+    """Spans and weights of direct sums, on element codes of the base field.
 
-    Flattened generator blocks are cached per (class, outer code), so a
-    direct sum pays only for one weight enumeration over its raw generator
-    rows (which are independent by construction; the weight distribution
-    sanity check would expose any rank defect).  Over a prime base field the
-    enumeration is a single matrix product modulo p.
+    Field addition is XOR on element codes in characteristic 2 and the
+    field's table arithmetic otherwise; everything else is shared.
     """
-
-    _MATMUL_LIMIT = 2 ** 18
 
     def __init__(self, dec, spec: SearchSpec):
         self.dec = dec
         self.spec = spec
-        self.base_field = dec.spec.subfield(1)
-        self.length = dec.group.size * spec.index
-        self.prime_base = dec.spec.base_degree == 1
-        self._blocks: dict[tuple[int, LinearCode], np.ndarray] = {}
-        self._messages: dict[int, np.ndarray] = {}
+        fspec = dec.spec
+        self.n = dec.group.size * spec.index
+        self.scalars = fspec.subfield(1).elements
+        self.Q = len(self.scalars)
+        self.add = np.bitwise_xor if fspec.p == 2 else fspec.vadd
+        self.dtype = np.uint8 if fspec.size <= 256 else np.int32
+        # no [n, k, >= d_min] code exists beyond the Singleton bound
+        self.singleton = self.n - spec.d_min + 1
+        self.max_dim = 0
+        while self.Q ** (self.max_dim + 1) <= spec.caps.codewords:
+            self.max_dim += 1
 
-    def rows_for(self, i: int, outer: LinearCode) -> np.ndarray:
-        key = (i, outer)
-        rows = self._blocks.get(key)
-        if rows is None:
-            dec = self.dec
-            spec_f = dec.spec
-            out = []
-            for v in outer.gens:
-                for b in dec._power_basis[i]:
-                    blocks = dec.lift_vector(i, spec_f.vscale(int(b), v))
-                    out.append(blocks.reshape(-1))
-            rows = np.array(out, dtype=np.int32)
-            self._blocks[key] = rows
-        return rows
-
-    def _message_matrix(self, k: int) -> np.ndarray:
-        M = self._messages.get(k)
-        if M is None:
-            p = self.dec.spec.p
-            codes = np.arange(p ** k, dtype=np.int64)
-            M = np.empty((p ** k, k), dtype=np.int32)
-            for j in range(k - 1, -1, -1):
-                M[:, j] = codes % p
-                codes //= p
-            self._messages[k] = M
-        return M
-
-    def _span_weight_distribution(self, rows: np.ndarray, dim: int) -> np.ndarray:
-        q = self.base_field.size
-        total = q ** dim
-        if total > self.spec.caps.codewords:
+    def check_cap(self, stage: int, dim: int) -> None:
+        if dim > self.max_dim:
             raise CapExceededError(
-                f"codeword enumeration for [{self.length},{dim}]", total,
-                self.spec.caps.codewords)
-        if self.prime_base and total <= self._MATMUL_LIMIT:
-            p = self.dec.spec.p
-            W = (self._message_matrix(dim) @ rows) % p
-            wd = np.bincount(np.count_nonzero(W, axis=1),
-                             minlength=self.length + 1)
-        else:
-            code = LinearCode(self.base_field, self.length, rows)
-            if code.dim != dim:
-                raise InvariantError(
-                    f"direct sum dimension {code.dim} does not match the expected {dim}")
-            wd = code.weight_distribution(self.spec.caps.codewords)
-        if wd[0] != 1:
-            raise InvariantError("direct sum generators are not independent")
-        return wd
+                f"search stage {stage}: codeword enumeration for [{self.n},{dim}]",
+                self.Q ** dim, self.spec.caps.codewords)
 
-    def evaluate(self, assignment: dict[int, LinearCode]) -> SearchEntry | None:
-        """Exact-distance filter; returns the finished entry or None."""
-        dec, spec = self.dec, self.spec
-        dim = sum(dec.classes[i].size * c.dim for i, c in assignment.items())
-        # Singleton prune: no [n, k, >= d_min] exists beyond this dimension
-        if dim > self.length - spec.d_min + 1:
-            return None
-        rows = np.vstack([self.rows_for(i, c) for i, c in sorted(assignment.items())])
-        wd = self._span_weight_distribution(rows, dim)
-        d = int(np.nonzero(wd[1:])[0][0]) + 1
-        if d < spec.d_min:
-            return None
-        params = CodeParams(self.length, dim, distance=d)
-        return SearchEntry(tuple(sorted(assignment.items(), key=lambda t: t[0])),
-                           params, (self.length, dim, tuple(int(x) for x in wd)))
+    def span(self, i: int, outer: LinearCode) -> np.ndarray:
+        """Every codeword of the concatenation of `outer` with the i-th
+        minimal ideal, one row each; row 0 is the zero word."""
+        dec = self.dec
+        fspec = dec.spec
+        lines = []  # the base-field multiples of each flattened generator
+        for v in outer.gens:
+            for b in dec._power_basis[i]:
+                row = dec.lift_vector(i, fspec.vscale(int(b), v)).reshape(-1)
+                lines.append(fspec.vmul(self.scalars[:, None], row[None, :]).astype(self.dtype))
+        return self.sum_span(lines)
+
+    def sum_span(self, spans) -> np.ndarray:
+        """Span of a direct sum from the spans of its summands, each listing
+        the zero word first."""
+        out = spans[0]
+        for s in spans[1:]:
+            out = self.add(out[:, None, :], s[None, :, :])
+            out = out.reshape(-1, self.n).astype(self.dtype, copy=False)
+        return out
+
+    def weigh(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        """Weight distributions of base + spans[j], one row per j.
+
+        The sums are streamed in blocks of at most _BLOCK_CODEWORDS codewords.
+        Both spans start with the zero word and the generators are independent
+        by construction, so exactly one sum may have weight 0.
+        """
+        n = self.n
+        m, size, _ = spans.shape
+        step_m = max(1, _BLOCK_CODEWORDS // (len(base) * size))
+        step_b = max(1, _BLOCK_CODEWORDS // size)
+        step_s = min(size, _BLOCK_CODEWORDS)
+        out = np.zeros((m, n + 1), dtype=np.int64)
+        for j in range(0, m, step_m):
+            part = spans[j:j + step_m, None]
+            for b in range(0, len(base), step_b):
+                for s in range(0, size, step_s):
+                    words = self.add(base[None, b:b + step_b, None, :],
+                                     part[:, :, s:s + step_s, :])
+                    w = np.count_nonzero(words, axis=-1).reshape(len(part), -1)
+                    w += (n + 1) * np.arange(len(part))[:, None]
+                    out[j:j + step_m] += np.bincount(
+                        w.ravel(), minlength=len(part) * (n + 1)).reshape(-1, n + 1)
+        if (out[:, 0] != 1).any():
+            raise InvariantError("direct sum generators are not independent")
+        return out
+
+
+def _stage1(kernel: _Kernel, i: int, dim_limit: int | None, counts: dict):
+    """Yield (outer, span, weight distribution) for every nonzero outer code
+    of class i whose concatenation meets the distance target, counting the
+    candidates and the Singleton rejections in `counts`."""
+    dec, spec = kernel.dec, kernel.spec
+    k_i = dec.classes[i].size
+    zero = np.zeros((1, kernel.n), dtype=kernel.dtype)
+    for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
+        if outer.dim == 0:
+            continue
+        counts["candidates"] += 1
+        dim = k_i * outer.dim
+        if dim_limit is not None and dim > dim_limit:
+            continue
+        if dim > kernel.singleton:
+            counts["singleton"] += 1
+            continue
+        kernel.check_cap(1, dim)
+        span = kernel.span(i, outer)
+        wd = kernel.weigh(zero, span[None])[0]
+        if not wd[1:spec.d_min].any():
+            yield outer, span, wd
+
+
+def _distance(wd) -> int:
+    return int(np.flatnonzero(wd[1:])[0]) + 1
 
 
 def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, int]]:
     """All nonzero outer codes for one class whose simple concatenation meets
     the distance target, with the exact concatenation distances."""
-    dec = decompose_algebra(spec.group, spec.q)
-    ev = _Evaluator(dec, spec)
-    k_i = dec.classes[class_index].size
-    out = []
-    for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
-        if outer.dim == 0:
-            continue
-        entry = ev.evaluate({class_index: outer})
-        if entry is not None:
-            out.append((outer, entry.params.distance))
-    return out
+    kernel = _Kernel(decompose_algebra(spec.group, spec.q), spec)
+    counts = {"candidates": 0, "singleton": 0}
+    return [(outer, _distance(wd))
+            for outer, _, wd in _stage1(kernel, class_index, None, counts)]
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -176,84 +209,137 @@ def search(spec: SearchSpec) -> SearchResult:
     if spec.d_min > spec.group.size * spec.index:
         return SearchResult([], {"stages": [], "note": "target exceeds the length"})
     dec = decompose_algebra(spec.group, spec.q)
-    ev = _Evaluator(dec, spec)
+    kernel = _Kernel(dec, spec)
+    n, d_min, dim_target = kernel.n, spec.d_min, spec.dim_target
     stats: dict = {"stages": []}
 
-    singles: list[SearchEntry] = []
-    candidates = 0
-    try:
-        for i in range(dec.class_count):
-            k_i = dec.classes[i].size
-            for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index,
-                                         spec.caps.subspaces):
-                if outer.dim == 0:
-                    continue
-                candidates += 1
-                if (spec.dim_target is not None
-                        and k_i * outer.dim > spec.dim_target):
-                    continue
-                entry = ev.evaluate({i: outer})
-                if entry is not None:
-                    singles.append(entry)
-    except CapExceededError as exc:
-        raise CapExceededError(f"search stage 1: {exc.what}",
-                               exc.needed, exc.cap) from None
-    stats["stages"].append({"stage": 1, "candidates": candidates,
-                            "survivors": len(singles)})
+    # stage 1: ids in class order, then outer-code enumeration order
+    start_time = time.perf_counter()
+    counts = {"candidates": 0, "singleton": 0}
+    classes, outers, spans, wds = [], [], [], []
+    for i in range(dec.class_count):
+        for outer, span, wd in _stage1(kernel, i, dim_target, counts):
+            classes.append(i)
+            outers.append(outer)
+            spans.append(span)
+            wds.append(wd)
+    count = len(outers)
+    stats["stages"].append({"stage": 1, **counts, "survivors": count,
+                            "seconds": time.perf_counter() - start_time})
 
-    accepted: list[SearchEntry] = list(singles)
-    surviving_keys: set = {e.assignment for e in singles}
-    frontier = singles
+    dims = np.array([dec.classes[i].size * c.dim for i, c in zip(classes, outers)],
+                    dtype=np.int64)
+    later = np.searchsorted(classes, classes, side="right")  # first id of a later class
+    # the spans of each dimension stacked, and each id's slot in its stack
+    slot = np.zeros(count, dtype=np.int64)
+    stacks = {}
+    for k in np.unique(dims).tolist():
+        members = np.flatnonzero(dims == k)
+        slot[members] = np.arange(len(members))
+        stacks[k] = np.stack([spans[j] for j in members])
+    # rank of each id under the (class, generator bytes) order of the output
+    order = sorted(range(count), key=lambda j: (classes[j], outers[j].gens.tobytes()))
+    rank = [0] * count
+    for r, j in enumerate(order):
+        rank[j] = r
+
+    # per weight distribution (as bytes): the rank key, id tuple and weight
+    # distribution of the least assignment reaching it
+    best: dict[bytes, tuple] = {}
+
+    def accept(base: tuple, ids: list[int], rows: np.ndarray) -> None:
+        """Record the survivors base + (j,) for j in ids, with weight
+        distributions `rows`."""
+        base_key = tuple(rank[j] for j in base)
+        width = rows.shape[1] * rows.itemsize
+        buf = rows.tobytes()
+        for t, j in enumerate(ids):
+            fp = buf[t * width:(t + 1) * width]
+            key = base_key + (rank[j],)
+            held = best.get(fp)
+            if held is None or key < held[0]:
+                best[fp] = (key, base + (j,), rows[t])
+
+    accept((), list(range(count)), np.array(wds, dtype=np.int64).reshape(count, n + 1))
+
+    # A surviving tuple joins the frontier only if it has a candidate: an id of
+    # a later class whose dimension fits the target.  `room` is the smallest
+    # dimension among the ids of later classes (0 where there are none).
+    dims_l, later_l = dims.tolist(), later.tolist()
+    room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later].tolist()
+
+    def grows(j: int, dim: int) -> bool:
+        return later_l[j] < count and (dim_target is None or dim + room[j] <= dim_target)
+
+    # extend[ids] marks, over the ids of later classes, the extensions of a
+    # surviving tuple that survived too; the empty tuple extends to every id
+    extend = {(): np.ones(count, dtype=bool)}
+    frontier = [((j,), dims_l[j]) for j in range(count) if grows(j, dims_l[j])]
+    survivors = count
     stage = 1
-    while frontier:
+    while survivors:
         stage += 1
-        new: list[SearchEntry] = []
-        pairs = 0
-        pruned = 0
-        for base in frontier:
-            top = max(base.class_indices)
-            for single in singles:
-                (i, outer), = single.assignment
-                if i <= top:
-                    continue
-                dim = base.params.dim + single.params.dim
-                if spec.dim_target is not None and dim > spec.dim_target:
-                    continue
-                pairs += 1
-                # every sub-assignment of a survivor must itself survive
-                # (a direct summand has at least the distance of the sum)
-                if stage > 2 and any(
-                        tuple(t for t in base.assignment if t != drop) + ((i, outer),)
-                        not in surviving_keys for drop in base.assignment):
-                    pruned += 1
-                    continue
-                assignment = dict(base.assignment)
-                assignment[i] = outer
-                try:
-                    entry = ev.evaluate(assignment)
-                except CapExceededError as exc:
-                    raise CapExceededError(f"search stage {stage}: {exc.what}",
-                                           exc.needed, exc.cap) from None
-                if entry is not None:
-                    new.append(entry)
-                    surviving_keys.add(entry.assignment)
-        stats["stages"].append({"stage": stage, "candidates": pairs,
-                                "pruned": pruned, "survivors": len(new)})
-        accepted.extend(new)
+        start_time = time.perf_counter()
+        counts = {"candidates": 0, "pruned": 0, "singleton": 0}
+        survivors = 0
+        new: list[tuple] = []
+        next_extend: dict[tuple, np.ndarray] = {}
+        for base, base_dim in frontier:
+            start = later_l[base[-1]]
+            cand_dims = base_dim + dims[start:]
+            closed = (np.ones(count - start, dtype=bool) if dim_target is None
+                      else cand_dims <= dim_target)
+            considered = int(np.count_nonzero(closed))
+            # every sub-assignment of a survivor must itself survive
+            # (a direct summand has at least the distance of the sum)
+            for drop in range(len(base)):
+                sub = base[:drop] + base[drop + 1:]
+                mask = extend.get(sub)
+                if mask is None:
+                    closed[:] = False
+                    break
+                closed &= mask[start - (later_l[sub[-1]] if sub else 0):]
+            kept = int(np.count_nonzero(closed))
+            picked = np.flatnonzero(closed & (cand_dims <= kernel.singleton))
+            counts["candidates"] += considered
+            counts["pruned"] += considered - kept
+            counts["singleton"] += kept - len(picked)
+            if not len(picked):
+                continue
+            kernel.check_cap(stage, int(cand_dims[picked].max()))
+            base_span = kernel.sum_span([spans[j] for j in base])
+            ids = start + picked
+            weights = np.empty((len(ids), n + 1), dtype=np.int64)
+            for k in np.unique(dims[ids]).tolist():
+                sel = dims[ids] == k
+                weights[sel] = kernel.weigh(base_span, stacks[k][slot[ids[sel]]])
+            good = np.flatnonzero(~weights[:, 1:d_min].any(axis=1))
+            if not len(good):
+                continue
+            survived = np.zeros(count - start, dtype=bool)
+            survived[picked[good]] = True
+            next_extend[base] = survived
+            good_ids = ids[good].tolist()
+            survivors += len(good_ids)
+            accept(base, good_ids, weights[good])
+            for j in good_ids:
+                if grows(j, base_dim + dims_l[j]):
+                    new.append((base + (j,), base_dim + dims_l[j]))
+        stats["stages"].append({"stage": stage, **counts, "survivors": survivors,
+                                "seconds": time.perf_counter() - start_time})
+        extend = next_extend
         frontier = new
 
     # fingerprint deduplication, deterministic order
-    accepted.sort(key=lambda e: (e.params.dim, e.fingerprint,
-                                 [(i, c.gens.tobytes()) for i, c in e.assignment]))
-    seen: set = set()
-    unique: list[SearchEntry] = []
-    for e in accepted:
-        if e.fingerprint in seen:
+    unique = []
+    for _, ids, wd in best.values():
+        dim = int(dims[list(ids)].sum())
+        if dim_target is not None and dim != dim_target:
             continue
-        seen.add(e.fingerprint)
-        unique.append(e)
-    if spec.dim_target is not None:
-        unique = [e for e in unique if e.params.dim == spec.dim_target]
-    stats["accepted"] = len(accepted)
+        unique.append(SearchEntry(tuple((classes[j], outers[j]) for j in ids),
+                                  CodeParams(n, dim, distance=_distance(wd)),
+                                  (n, dim, tuple(int(x) for x in wd))))
+    unique.sort(key=lambda e: (e.params.dim, e.fingerprint))
+    stats["accepted"] = sum(s["survivors"] for s in stats["stages"])
     stats["distinct"] = len(unique)
     return SearchResult(unique, stats)

@@ -139,3 +139,29 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "--no-banner", "--cap-codewords", "1000",
                        "distance", "--code", str(big))
     assert code == 3 and "cap" in err
+    # a non-positive cap is bad input, not an exceeded cap
+    for flag, value in (("--cap-codewords", "-5"), ("--cap-subspaces", "-1")):
+        code, _, err = run(capsys, "--no-banner", flag, value, "search", "--q", "2",
+                           "--group", "3,3", "--index", "2", "--dmin", "8")
+        assert code == 2 and "cap must be positive" in err and "would need" not in err
+    code, _, err = run(capsys, "--no-banner", "--cap-codewords", "0",
+                       "distance", "--code", str(big))
+    assert code == 2 and "cap must be positive" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_search_rejects_nonpositive_dimension_target(capsys, dim):
+    code, out, err = run(capsys, "--no-banner", "search", "--q", "2", "--group", "3,3",
+                         "--index", "2", "--dmin", "8", "--dim", dim)
+    assert code == 2 and "dimension target must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["distance", "construct"])
+@pytest.mark.parametrize("doc", [[1, 2], 5, "code"])
+def test_non_object_descriptor_exits_2(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "--no-banner", command, "--code", str(path))
+    assert code == 2
+    assert err.strip() == "error: descriptor must be a JSON object"

@@ -1,5 +1,9 @@
 """Staged search: soundness, stage-1 completeness, determinism."""
 
+import importlib
+
+import pytest
+
 from qacodes.algebra import AbelianGroup
 from qacodes.concatenation import is_qa, qa_from_constituents
 from qacodes.idempotents import decompose_algebra
@@ -50,8 +54,15 @@ def test_stage1_low_target_keeps_every_nonzero_code():
         assert len(survivors) == want
 
 
-def test_search_soundness_and_determinism():
-    spec = SearchSpec(q=2, group=G33, index=2, d_min=8)
+@pytest.mark.parametrize("q,orders,index,d_min", [
+    (2, (3, 3), 2, 8),
+    (3, (2, 2), 2, 3),   # odd characteristic: table addition
+    (3, (4,), 2, 4),
+    (4, (3, 3), 2, 12),  # non-prime base field: XOR on element codes
+], ids=["q2-C3xC3", "q3-C2xC2", "q3-C4", "q4-C3xC3"])
+def test_search_soundness_and_determinism(q, orders, index, d_min):
+    group = AbelianGroup(orders)
+    spec = SearchSpec(q=q, group=group, index=index, d_min=d_min)
     res1 = search(spec)
     res2 = search(spec)
     assert [(e.params, e.fingerprint) for e in res1.codes] == \
@@ -60,15 +71,67 @@ def test_search_soundness_and_determinism():
     fingerprints = [e.fingerprint for e in res1.codes]
     assert len(set(fingerprints)) == len(fingerprints)
     for e in res1.codes:
-        qa = qa_from_constituents(G33, 2, 2, dict(e.assignment))
+        qa = qa_from_constituents(group, q, index, dict(e.assignment))
         flat = qa.flattened
-        assert is_qa(flat, G33)
-        assert flat.min_distance() == e.params.distance >= 8
+        assert is_qa(flat, group)
+        assert flat.min_distance() == e.params.distance >= d_min
         wd = tuple(int(x) for x in flat.weight_distribution())
         assert e.fingerprint == (flat.length, flat.dim, wd)
     # output ordering: dimension ascending, then fingerprint
     keys = [(e.params.dim, e.fingerprint) for e in res1.codes]
     assert keys == sorted(keys)
+
+
+def test_search_stage_counts():
+    """What the search considers, stage by stage; a faster kernel must not
+    change any of these counts."""
+    res = search(SearchSpec(q=2, group=G33, index=2, d_min=8))
+    stages = res.stats["stages"]
+    assert [(s["stage"], s["candidates"], s["survivors"]) for s in stages[:1]] == \
+        [(1, 28, 16)]
+    assert [(s["stage"], s["candidates"], s["pruned"], s["survivors"])
+            for s in stages[1:]] == [(2, 102, 0, 78), (3, 216, 0, 180), (4, 270, 126, 0)]
+    assert (res.stats["accepted"], res.stats["distinct"]) == (274, 8)
+    for s in stages:
+        assert s["seconds"] >= 0
+        assert s["singleton"] == 0
+    # at d_min = 16 no [18, k, 16] code has k > 3, so each of the four classes
+    # of size 2 loses its full outer code (dimension 4) to the Singleton bound
+    first = search(SearchSpec(q=2, group=G33, index=2, d_min=16)).stats["stages"][0]
+    assert (first["candidates"], first["singleton"], first["survivors"]) == (28, 4, 1)
+
+
+def test_search_keeps_least_assignment_per_fingerprint():
+    """Each fingerprint is reported with its least assignment under the
+    (class index, generator bytes) order, whatever order the search meets
+    the assignments in."""
+    res = search(SearchSpec(q=2, group=G33, index=2, d_min=8))
+    got = [(e.class_indices, [c.gens.tolist() for _, c in e.assignment])
+           for e in res.codes]
+    assert got == [
+        ((0,), [[[1, 1]]]),
+        ((0,), [[[0, 1]]]),
+        ((1,), [[[1, 1]]]),
+        ((0,), [[[1, 0], [0, 1]]]),
+        ((0, 1), [[[0, 1]], [[1, 1]]]),
+        ((1, 2), [[[1, 1]], [[1, 1]]]),
+        ((0, 1, 2), [[[0, 1]], [[1, 1]], [[1, 1]]]),
+        ((1, 2, 3), [[[1, 1]], [[1, 1]], [[1, 2]]]),
+    ]
+
+
+def test_search_streams_large_sums(monkeypatch):
+    """Blocks smaller than one candidate's span give the same result."""
+    search_module = importlib.import_module("qacodes.search")  # not the function
+    specs = [SearchSpec(q=2, group=G33, index=2, d_min=8),
+             SearchSpec(q=3, group=AbelianGroup((2, 2)), index=2, d_min=3)]
+    whole = [search(spec) for spec in specs]
+    monkeypatch.setattr(search_module, "_BLOCK_CODEWORDS", 3)
+    for spec, want in zip(specs, whole):
+        got = search(spec)
+        assert [(e.assignment, e.fingerprint) for e in got.codes] == \
+            [(e.assignment, e.fingerprint) for e in want.codes]
+        assert got.stats["accepted"] == want.stats["accepted"]
 
 
 def test_search_dim_target_filters_output():
