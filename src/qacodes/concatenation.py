@@ -455,6 +455,9 @@ def qa_from_descriptor(obj: dict) -> QACode:
     assignment: dict = {}
     for entry in obj.get("constituents", []):
         member = tuple(int(c) for c in entry["class_member"])
+        if any(not 0 <= c < m for c, m in zip(member, group.orders)):
+            raise ValueError(f"class_member {list(member)} lies outside the group "
+                             f"{list(group.orders)}")
         i = dec.class_index(member)
         k_i = dec.classes[i].size
         rows = [[spec.from_string(s).code for s in row] for row in entry["generators"]]

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import (AbelianGroup, FieldElement, GroupAlgebraElement, character,
-                      subfield_trace)
+from .algebra import (AbelianGroup, FieldElement, GroupAlgebraElement, _prime_factors,
+                      character, subfield_trace)
 from .concatenation import block_idempotent
 from .idempotents import decompose_algebra
 from .linear_codes import rank
@@ -44,21 +44,8 @@ def field_axiom_checks(spec, rng: random.Random, samples: int = 100) -> list[Che
     M = spec.root_order
     xi = spec.xi
     ok = xi ** M == spec.one and all(
-        xi ** (M // r) != spec.one for r in _prime_set(M))
+        xi ** (M // r) != spec.one for r in _prime_factors(M))
     out.append((f"designated root of unity has exact order {M}", ok, str(xi)))
-    return out
-
-
-def _prime_set(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 

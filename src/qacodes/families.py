@@ -15,23 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AbelianGroup, FieldSpec, prime_power
+from .algebra import AbelianGroup, FieldSpec, _prime_factors, prime_power
 from .concatenation import QACode, qa_from_constituents
 from .errors import CapExceededError
 from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
                            LinearCode, enumerate_codes)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass
@@ -46,7 +35,7 @@ class FamilySpec:
     lcd_required: bool = False
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != [self.p]:
             raise ValueError(f"{self.p} is not prime")
         char = prime_power(self.q)[0]
         if self.p == char:

@@ -7,7 +7,7 @@ sums of one codeword from each piece.  The search weighs codes that way.
 Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
 minimum distance reaches the target; the span of each survivor is stored
-once, one row of element codes per codeword.  Later stages extend surviving
+once, one row of packed words per codeword.  Later stages extend surviving
 id tuples one class at a time.  Candidates are selected with array masks
 (class order, dimension target, Singleton bound, subset closure), and all
 candidates of one dimension are weighed at once: the span of each is the
@@ -90,26 +90,55 @@ class SearchResult:
 
 
 class _Kernel:
-    """Spans and weights of direct sums, on element codes of the base field.
+    """Spans and weights of direct sums, on packed words.
 
-    Field addition is XOR on element codes in characteristic 2 and the
-    field's table arithmetic otherwise; everything else is shared.
+    Every codeword is a row of uint64 words.  A coordinate takes g = d*w bits:
+    its d base-p digits (the digit places the base field's element codes
+    use), w bits each, where w = 1 when p = 2 and otherwise the least width
+    with 2(p - 1) < 2^w, so that a digit sum never carries into the next
+    digit.  A word holds 64 // g whole coordinates.  Field addition is XOR
+    when p = 2 and otherwise a digit-wise add that subtracts p from every
+    digit that reached it, done on all digits of a word at once (SWAR).  A
+    weight ORs the bits of each coordinate onto its low bit and counts the
+    low bits.
     """
 
     def __init__(self, dec, spec: SearchSpec):
         self.dec = dec
         self.spec = spec
         fspec = dec.spec
+        p = self.p = fspec.p
         self.n = dec.group.size * spec.index
         self.scalars = fspec.subfield(1).elements
         self.Q = len(self.scalars)
-        self.add = np.bitwise_xor if fspec.p == 2 else fspec.vadd
-        self.dtype = np.uint8 if fspec.size <= 256 else np.int32
         # no [n, k, >= d_min] code exists beyond the Singleton bound
         self.singleton = self.n - spec.d_min + 1
         self.max_dim = 0
         while self.Q ** (self.max_dim + 1) <= spec.caps.codewords:
             self.max_dim += 1
+
+        digits = self.scalars[:, None] // p ** np.arange(fspec.n) % p
+        self.places = p ** np.flatnonzero(digits.any(axis=0))
+        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        g = len(self.places) * w
+        per_word = 64 // g
+        self.words = -(-self.n // per_word)
+        # bit offset of digit k of the c-th coordinate of a word: c*g + k*w
+        self.shifts = (np.arange(per_word)[:, None] * g
+                       + np.arange(len(self.places)) * w).astype(np.uint64)
+        ones = sum(1 << int(b) for b in self.shifts.ravel())
+        self.ones = np.uint64(ones)
+        self.offset = np.uint64((2 ** (w - 1) - p) * ones) if p > 2 else None
+        self.top = np.uint64(w - 1)
+        self.low = np.uint64(sum(1 << (c * g) for c in range(per_word)))
+        # shifts that OR bits i..i+g-1 onto bit i
+        self.folds = []
+        covered = 1
+        while 2 * covered <= g:
+            self.folds.append(covered)
+            covered *= 2
+        if covered < g:
+            self.folds.append(g - covered)
 
     def check_cap(self, stage: int, dim: int) -> None:
         if dim > self.max_dim:
@@ -117,16 +146,47 @@ class _Kernel:
                 f"search stage {stage}: codeword enumeration for [{self.n},{dim}]",
                 self.Q ** dim, self.spec.caps.codewords)
 
+    def pack(self, codes: np.ndarray) -> np.ndarray:
+        """Packed words of rows of base-field element codes (last axis: the
+        n coordinates)."""
+        per_word = len(self.shifts)
+        lead = codes.shape[:-1]
+        padded = np.zeros(lead + (self.words * per_word,), dtype=np.int64)
+        padded[..., :self.n] = codes
+        digits = padded.reshape(lead + (self.words, per_word, 1)) // self.places % self.p
+        return (digits.astype(np.uint64) << self.shifts).sum(axis=(-2, -1), dtype=np.uint64)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field sum of packed words, broadcast; a new array."""
+        if self.p == 2:
+            return a ^ b
+        s = a + b
+        ge = s + self.offset  # bit w-1 of a digit is set iff its sum is >= p
+        ge >>= self.top
+        ge &= self.ones
+        ge *= np.uint64(self.p)
+        s -= ge
+        return s
+
+    def weights(self, words: np.ndarray) -> np.ndarray:
+        """Hamming weights of packed codewords (last axis: the words of one
+        codeword); overwrites `words`."""
+        for shift in self.folds:
+            words |= words >> np.uint64(shift)
+        if self.folds:
+            words &= self.low
+        counts = np.bitwise_count(words)
+        return counts.sum(axis=-1, dtype=np.intp)
+
     def span(self, i: int, outer: LinearCode) -> np.ndarray:
         """Every codeword of the concatenation of `outer` with the i-th
-        minimal ideal, one row each; row 0 is the zero word."""
+        minimal ideal, one row of packed words each; row 0 is the zero word."""
         dec = self.dec
         fspec = dec.spec
-        lines = []  # the base-field multiples of each flattened generator
-        for v in outer.gens:
-            for b in dec._power_basis[i]:
-                row = dec.lift_vector(i, fspec.vscale(int(b), v)).reshape(-1)
-                lines.append(fspec.vmul(self.scalars[:, None], row[None, :]).astype(self.dtype))
+        rows = np.array([dec.lift_vector(i, fspec.vscale(int(b), v)).reshape(-1)
+                         for v in outer.gens for b in dec._power_basis[i]])
+        # the base-field multiples of each flattened generator
+        lines = self.pack(fspec.vmul(self.scalars[:, None], rows[:, None, :]))
         return self.sum_span(lines)
 
     def sum_span(self, spans) -> np.ndarray:
@@ -134,8 +194,7 @@ class _Kernel:
         the zero word first."""
         out = spans[0]
         for s in spans[1:]:
-            out = self.add(out[:, None, :], s[None, :, :])
-            out = out.reshape(-1, self.n).astype(self.dtype, copy=False)
+            out = self.add(out[:, None, :], s[None, :, :]).reshape(-1, self.words)
         return out
 
     def weigh(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -157,7 +216,7 @@ class _Kernel:
                 for s in range(0, size, step_s):
                     words = self.add(base[None, b:b + step_b, None, :],
                                      part[:, :, s:s + step_s, :])
-                    w = np.count_nonzero(words, axis=-1).reshape(len(part), -1)
+                    w = self.weights(words).reshape(len(part), -1)
                     w += (n + 1) * np.arange(len(part))[:, None]
                     out[j:j + step_m] += np.bincount(
                         w.ravel(), minlength=len(part) * (n + 1)).reshape(-1, n + 1)
@@ -166,28 +225,38 @@ class _Kernel:
         return out
 
 
-def _stage1(kernel: _Kernel, i: int, dim_limit: int | None, counts: dict):
+def _stage1(kernel: _Kernel, i: int, counts: dict):
     """Yield (outer, span, weight distribution) for every nonzero outer code
-    of class i whose concatenation meets the distance target, counting the
-    candidates and the Singleton rejections in `counts`."""
+    of class i, up to the dimension target, whose concatenation meets the
+    distance target, counting the candidates, the Singleton rejections and
+    the weighed codes in `counts`."""
     dec, spec = kernel.dec, kernel.spec
     k_i = dec.classes[i].size
-    zero = np.zeros((1, kernel.n), dtype=kernel.dtype)
+    zero = np.zeros((1, kernel.words), dtype=np.uint64)
     for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
         if outer.dim == 0:
             continue
         counts["candidates"] += 1
         dim = k_i * outer.dim
-        if dim_limit is not None and dim > dim_limit:
+        if spec.dim_target is not None and dim > spec.dim_target:
             continue
         if dim > kernel.singleton:
             counts["singleton"] += 1
             continue
         kernel.check_cap(1, dim)
+        counts["weighed"] += 1
         span = kernel.span(i, outer)
         wd = kernel.weigh(zero, span[None])[0]
         if not wd[1:spec.d_min].any():
             yield outer, span, wd
+
+
+def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
+    """One stage's entry of SearchResult.stats; `weighed` counts the
+    candidates whose weight distribution was computed."""
+    seconds = time.perf_counter() - start_time
+    return {"stage": stage, **counts, "survivors": survivors, "seconds": seconds,
+            "weighed_per_s": counts["weighed"] / seconds if seconds > 0 else 0.0}
 
 
 def _distance(wd) -> int:
@@ -196,11 +265,12 @@ def _distance(wd) -> int:
 
 def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, int]]:
     """All nonzero outer codes for one class whose simple concatenation meets
-    the distance target, with the exact concatenation distances."""
+    the distance target (and fit the dimension target, if any), with the
+    exact concatenation distances."""
     kernel = _Kernel(decompose_algebra(spec.group, spec.q), spec)
-    counts = {"candidates": 0, "singleton": 0}
+    counts = {"candidates": 0, "singleton": 0, "weighed": 0}
     return [(outer, _distance(wd))
-            for outer, _, wd in _stage1(kernel, class_index, None, counts)]
+            for outer, _, wd in _stage1(kernel, class_index, counts)]
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -215,17 +285,16 @@ def search(spec: SearchSpec) -> SearchResult:
 
     # stage 1: ids in class order, then outer-code enumeration order
     start_time = time.perf_counter()
-    counts = {"candidates": 0, "singleton": 0}
+    counts = {"candidates": 0, "singleton": 0, "weighed": 0}
     classes, outers, spans, wds = [], [], [], []
     for i in range(dec.class_count):
-        for outer, span, wd in _stage1(kernel, i, dim_target, counts):
+        for outer, span, wd in _stage1(kernel, i, counts):
             classes.append(i)
             outers.append(outer)
             spans.append(span)
             wds.append(wd)
     count = len(outers)
-    stats["stages"].append({"stage": 1, **counts, "survivors": count,
-                            "seconds": time.perf_counter() - start_time})
+    stats["stages"].append(_stage_stats(1, counts, count, start_time))
 
     dims = np.array([dec.classes[i].size * c.dim for i, c in zip(classes, outers)],
                     dtype=np.int64)
@@ -280,7 +349,7 @@ def search(spec: SearchSpec) -> SearchResult:
     while survivors:
         stage += 1
         start_time = time.perf_counter()
-        counts = {"candidates": 0, "pruned": 0, "singleton": 0}
+        counts = {"candidates": 0, "pruned": 0, "singleton": 0, "weighed": 0}
         survivors = 0
         new: list[tuple] = []
         next_extend: dict[tuple, np.ndarray] = {}
@@ -304,6 +373,7 @@ def search(spec: SearchSpec) -> SearchResult:
             counts["candidates"] += considered
             counts["pruned"] += considered - kept
             counts["singleton"] += kept - len(picked)
+            counts["weighed"] += len(picked)
             if not len(picked):
                 continue
             kernel.check_cap(stage, int(cand_dims[picked].max()))
@@ -325,8 +395,7 @@ def search(spec: SearchSpec) -> SearchResult:
             for j in good_ids:
                 if grows(j, base_dim + dims_l[j]):
                     new.append((base + (j,), base_dim + dims_l[j]))
-        stats["stages"].append({"stage": stage, **counts, "survivors": survivors,
-                                "seconds": time.perf_counter() - start_time})
+        stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
         extend = next_extend
         frontier = new
 

@@ -83,6 +83,8 @@ def test_search_command(capsys, tmp_path):
     for entry in doc["results"]:
         assert entry["params"]["distance"] >= 8
     assert "stats" in doc
+    for stage in doc["stats"]["stages"]:
+        assert stage["weighed"] <= stage["candidates"] and stage["weighed_per_s"] >= 0
 
 
 def test_search_results_feed_back_into_construct(capsys, tmp_path):
@@ -155,6 +157,17 @@ def test_search_rejects_nonpositive_dimension_target(capsys, dim):
                          "--index", "2", "--dmin", "8", "--dim", dim)
     assert code == 2 and "dimension target must be positive" in err
     assert out == ""
+
+
+def test_class_member_outside_the_group_exits_2(capsys, tmp_path):
+    path = tmp_path / "qa.json"
+    path.write_text(json.dumps({
+        "q": 2, "group": [5, 5], "index": 1,
+        "constituents": [{"class_member": [4, 7], "generators": [["1000"]]}]}))
+    for command in ("construct", "distance"):
+        code, out, err = run(capsys, "--no-banner", command, "--code", str(path))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: class_member [4, 7] lies outside the group [5, 5]"
 
 
 @pytest.mark.parametrize("command", ["distance", "construct"])

@@ -2,13 +2,14 @@
 
 import importlib
 
+import numpy as np
 import pytest
 
 from qacodes.algebra import AbelianGroup
 from qacodes.concatenation import is_qa, qa_from_constituents
 from qacodes.idempotents import decompose_algebra
 from qacodes.linear_codes import LinearCode, gaussian_binomial
-from qacodes.search import SearchSpec, search, stage1_filter
+from qacodes.search import SearchSpec, _Kernel, search, stage1_filter
 
 G33 = AbelianGroup((3, 3))
 
@@ -132,6 +133,75 @@ def test_search_streams_large_sums(monkeypatch):
         assert [(e.assignment, e.fingerprint) for e in got.codes] == \
             [(e.assignment, e.fingerprint) for e in want.codes]
         assert got.stats["accepted"] == want.stats["accepted"]
+
+
+def _random_outer(rng, field, length, dim):
+    """A random outer code of exactly this dimension over `field`."""
+    elements = field.elements
+    while True:
+        code = LinearCode(field, length, rng.choice(elements, size=(dim, length)))
+        if code.dim == dim:
+            return code
+
+
+@pytest.mark.parametrize("q,orders,index", [
+    (2, (3, 3), 3),
+    (3, (2, 2), 2),
+    (5, (3,), 2),
+    (7, (3,), 2),
+    (4, (3, 3), 2),
+    (8, (3,), 2),
+    (9, (2,), 2),
+    (3, (4,), 6),  # 24 coordinates of 3 bits: two words per codeword
+], ids=["q2", "q3", "q5", "q7", "q4", "q8", "q9", "q3-two-words"])
+def test_kernel_weighs_like_the_flattened_code(q, orders, index):
+    """The packed-word kernel's weight distribution of a direct sum equals
+    the full enumeration of the flattened quasi-abelian code."""
+    group = AbelianGroup(orders)
+    dec = decompose_algebra(group, q)
+    kernel = _Kernel(dec, SearchSpec(q=q, group=group, index=index, d_min=1))
+    if q == 3 and index == 6:
+        assert kernel.words == 2
+    max_dim = int(np.log(2 ** 13) / np.log(q))  # at most 2^13 codewords
+    rng = np.random.default_rng(q * 100 + index)
+    for _ in range(4):
+        assignment, dim = {}, 0
+        for i in rng.permutation(dec.class_count).tolist():
+            k = dec.classes[i].size
+            r = int(rng.integers(1, min(index, 2) + 1))
+            if dim + k * r <= max_dim:
+                assignment[i] = _random_outer(rng, dec.spec.subfield(k), index, r)
+                dim += k * r
+        *first, last = sorted(assignment)
+        spans = [kernel.span(i, assignment[i]) for i in first]
+        base = kernel.sum_span(spans) if spans else np.zeros((1, kernel.words), np.uint64)
+        # three candidates of the same dimension for the last class, weighed at once
+        field, r = dec.spec.subfield(dec.classes[last].size), assignment[last].dim
+        outers = [assignment[last]] + [_random_outer(rng, field, index, r) for _ in range(2)]
+        got = kernel.weigh(base, np.stack([kernel.span(last, c) for c in outers]))
+        for outer, row in zip(outers, got):
+            qa = qa_from_constituents(group, q, index, {**assignment, last: outer})
+            assert row.tolist() == qa.flattened.weight_distribution().tolist()
+
+
+def test_stage1_filter_honours_the_dimension_target():
+    """stage1_filter lists exactly the stage-1 survivors of the search, also
+    under a dimension target."""
+    for spec in (SearchSpec(q=2, group=G33, index=3, d_min=12, dim_target=4),
+                 SearchSpec(q=3, group=AbelianGroup((2, 2)), index=3, d_min=4, dim_target=2)):
+        first = search(spec).stats["stages"][0]
+        dec = decompose_algebra(spec.group, spec.q)
+        listed = [outer for i in range(dec.class_count) for outer, _ in stage1_filter(spec, i)]
+        assert len(listed) == first["survivors"]
+        assert all(outer.dim <= spec.dim_target for outer in listed)
+
+
+def test_search_stats_report_throughput():
+    res = search(SearchSpec(q=2, group=G33, index=2, d_min=16))
+    for s in res.stats["stages"]:
+        assert s["weighed"] == s["candidates"] - s.get("pruned", 0) - s["singleton"]
+        assert s["weighed_per_s"] >= 0
+    assert res.stats["stages"][0]["weighed"] == 24
 
 
 def test_search_dim_target_filters_output():
