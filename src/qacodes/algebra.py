@@ -374,6 +374,16 @@ class FieldSpec:
             return 1
         return N // math.gcd(int(self._log[a]), N)
 
+    def exact_degree(self, a: int) -> int:
+        """Degree over F_q of the smallest subfield holding a: the least
+        k >= 1 with a^(q^k) == a."""
+        x = self.frob(a)
+        k = 1
+        while x != a:
+            x = self.frob(x)
+            k += 1
+        return k
+
     def in_subfield(self, a: int, k: int) -> bool:
         """Frobenius fixed-point test: a^(q^k) == a."""
         return self.pow_(a, self.q ** k) == a
@@ -443,6 +453,23 @@ class FieldSpec:
         shift = (self.q ** k - 1) % N
         return (A == 0) | ((self._log[A] * shift) % N == 0)
 
+    def basis_coordinates(self, basis) -> np.ndarray | None:
+        """Coordinates over F_q in `basis` of every element of its F_q-span:
+        row c holds those of code c, or -1s where c lies outside the span.
+        None when the basis elements are dependent over F_q."""
+        k = len(basis)
+        base = self.subfield_codes(1)
+        # every combination, the first coordinate varying slowest
+        combos = np.stack(np.meshgrid(*[base] * k, indexing="ij"), axis=-1).reshape(-1, k)
+        values = np.zeros(len(combos), dtype=np.int32)
+        for j, b in enumerate(basis):
+            values = self.vadd(values, self.vmul(combos[:, j], int(b)))
+        table = np.full((self.size, k), -1, dtype=np.int32)
+        table[values] = combos
+        if np.count_nonzero(table[:, 0] >= 0) != len(values):
+            return None  # two combinations share a value
+        return table
+
     # -- element factories ---------------------------------------------------
 
     def element(self, code: int) -> "FieldElement":
@@ -456,8 +483,12 @@ class FieldSpec:
         return FieldElement(self, self._poly_to_code([c % self.p for c in coeffs]))
 
     def from_string(self, s: str) -> "FieldElement":
-        """Parse a coefficient string, lowest degree first ('0110' = x + x^2)."""
+        """Parse a coefficient string, lowest degree first ('0110' = x + x^2),
+        with exactly one digit per degree of the presentation."""
         digits = [int(ch) for ch in s.split(",")] if "," in s else [int(ch) for ch in s.strip()]
+        if len(digits) != self.n:
+            raise ValueError(f"element string {s!r} has {len(digits)} digits; the "
+                             f"F_{self.size} presentation needs {self.n}")
         if any(d < 0 or d >= self.p for d in digits):
             raise ValueError(f"digits of {s!r} out of range for characteristic {self.p}")
         return self.from_coeffs(digits)

@@ -14,7 +14,6 @@ large to materialize.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -108,6 +107,20 @@ class QACode:
                 f"dim {self.dim})")
 
 
+def _class_position(dec: SemisimpleDecomposition, key) -> tuple[int, int]:
+    """Class index i of a group-element key (a GroupElement or a coordinate
+    tuple) and its position j in that class: key = q^j * rep.  A coordinate
+    outside [0, order) is rejected, not reduced."""
+    group = dec.group
+    coords = tuple(int(c) for c in (key.coords if isinstance(key, GroupElement) else key))
+    if any(not 0 <= c < m for c, m in zip(coords, group.orders)):
+        raise ValueError(f"class_member {list(coords)} lies outside the group "
+                         f"{list(group.orders)}")
+    member = group.element(coords)
+    i = dec.class_index(member)
+    return i, dec.classes[i].members.index(member)
+
+
 def _resolve_assignment(dec: SemisimpleDecomposition,
                         assignment: Mapping) -> dict[int, LinearCode]:
     """Normalize user-facing assignment keys to class indices.
@@ -125,10 +138,7 @@ def _resolve_assignment(dec: SemisimpleDecomposition,
                 raise ValueError(f"class index {i} out of range")
             j = 0
         else:
-            i = dec.class_index(key)
-            member = (dec.group.element(key.coords) if isinstance(key, GroupElement)
-                      else dec.group.element(tuple(key)))
-            j = next(jj for jj, g in enumerate(dec.classes[i].members) if g == member)
+            i, j = _class_position(dec, key)
         if i in out:
             raise ValueError(f"two constituents map to the class of "
                              f"{dec.classes[i].rep.coords}")
@@ -269,16 +279,7 @@ def simple_scheme(inner: LinearCode, outer: LinearCode) -> GCCScheme:
     outer field's canonical generator maps to the j-th generator row."""
     spec = inner.field.spec
     k = inner.dim
-    gen_code = None
-    for c in spec.subfield_codes(k).tolist():
-        x = spec.frob(c)
-        deg = 1
-        while x != c:
-            x = spec.frob(x)
-            deg += 1
-        if deg == k:
-            gen_code = c
-            break
+    gen_code = next(c for c in spec.subfield_codes(k).tolist() if spec.exact_degree(c) == k)
     basis = np.array([spec.pow_(gen_code, j) for j in range(k)], dtype=np.int32)
     return GCCScheme([inner], [inner.gens.copy()], [basis], [outer])
 
@@ -305,16 +306,9 @@ def gcc_build(scheme: GCCScheme) -> LinearCode:
     n = scheme.inner_length
     N = scheme.outer_length
     expansions = []
-    for enc, basis, outer in zip(scheme.encoders, scheme.basis_scalars, scheme.outers):
-        k = enc.shape[0]
-        base_elems = spec.subfield_codes(1).tolist()
-        coords: dict[int, tuple[int, ...]] = {}
-        for combo in itertools.product(base_elems, repeat=k):
-            acc = 0
-            for c_j, b_j in zip(combo, basis):
-                acc = spec.add(acc, spec.mul(int(c_j), int(b_j)))
-            coords[acc] = combo
-        if len(coords) != spec.q ** k:
+    for basis, outer in zip(scheme.basis_scalars, scheme.outers):
+        coords = spec.basis_coordinates(basis)
+        if coords is None or (coords[outer.field.elements, 0] < 0).any():
             raise ValueError("basis scalars are not a basis of the outer field")
         expansions.append(coords)
 
@@ -455,10 +449,7 @@ def qa_from_descriptor(obj: dict) -> QACode:
     assignment: dict = {}
     for entry in obj.get("constituents", []):
         member = tuple(int(c) for c in entry["class_member"])
-        if any(not 0 <= c < m for c, m in zip(member, group.orders)):
-            raise ValueError(f"class_member {list(member)} lies outside the group "
-                             f"{list(group.orders)}")
-        i = dec.class_index(member)
+        i, _ = _class_position(dec, member)
         k_i = dec.classes[i].size
         rows = [[spec.from_string(s).code for s in row] for row in entry["generators"]]
         code = LinearCode(spec.subfield(k_i), index,

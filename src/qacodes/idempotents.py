@@ -10,7 +10,6 @@ failures instead of silently wrong codes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,30 +126,25 @@ class SemisimpleDecomposition:
         # per-class power basis of the target field and the lift matrix
         self._subfield_gen: list[int] = []
         self._power_basis: list[np.ndarray] = []
-        self._coords: list[dict[int, np.ndarray]] = []
+        self._coords: list[np.ndarray] = []
         self._psi_matrix: list[np.ndarray] = []
         for i, cls in enumerate(self.classes):
             k = cls.size
             gen_code = None
             for h in group.elements:
                 c = int(self._chi_row[i][h.index])
-                if self._exact_degree(c) == k:
+                if spec.exact_degree(c) == k:
                     gen_code = c
                     break
             if gen_code is None:
                 raise InvariantError(
                     f"no character value of full degree {k} for class of {cls.rep.coords}")
             basis = np.array([spec.pow_(gen_code, j) for j in range(k)], dtype=np.int32)
-            base_elems = spec.subfield_codes(1).tolist()
-            coords: dict[int, np.ndarray] = {}
-            for combo in itertools.product(base_elems, repeat=k):
-                acc = 0
-                for c_j, b_j in zip(combo, basis):
-                    acc = spec.add(acc, spec.mul(int(c_j), int(b_j)))
-                coords[acc] = np.array(combo, dtype=np.int32)
-            if len(coords) != spec.q ** k:
+            coords = spec.basis_coordinates(basis)
+            if coords is None:
                 raise InvariantError(
                     f"power basis for class of {cls.rep.coords} is not a basis")
+            coords.setflags(write=False)
             psi_rows = np.array([self._lift_by_trace(i, int(b)) for b in basis],
                                 dtype=np.int32)
             self._subfield_gen.append(gen_code)
@@ -168,16 +162,6 @@ class SemisimpleDecomposition:
     def class_count(self) -> int:
         return len(self.classes)
 
-    def _exact_degree(self, code: int) -> int:
-        """Smallest k >= 1 with code^(q^k) == code."""
-        spec = self.spec
-        x = spec.frob(code)
-        k = 1
-        while x != code:
-            x = spec.frob(x)
-            k += 1
-        return k
-
     def class_index(self, member) -> int:
         """Class position for any member of it (tuple or GroupElement)."""
         if isinstance(member, GroupElement):
@@ -191,11 +175,12 @@ class SemisimpleDecomposition:
         return FieldElement(self.spec, self._subfield_gen[i])
 
     def coords_in_power_basis(self, i: int, code: int) -> np.ndarray:
-        try:
-            return self._coords[i][int(code)]
-        except KeyError:
+        table = self._coords[i]
+        code = int(code)
+        if not 0 <= code < len(table) or table[code, 0] < 0:
             raise ValueError(
-                f"element is not in the degree-{self.classes[i].size} class field") from None
+                f"element is not in the degree-{self.classes[i].size} class field")
+        return table[code]
 
     # -- the two identification maps ------------------------------------------
 

@@ -4,13 +4,18 @@ Generator matrices are held in reduced row echelon form, which makes them a
 canonical representative of the row space: two codes are equal iff their
 matrices are identical.  Minimum distance and weight distribution are found
 by full message-space enumeration, guarded by a cap; no cleverer distance
-algorithm is attempted.
+algorithm is attempted.  Codewords are enumerated as packed words
+(`WordLayout`): the span of the last generator rows is built once by
+broadcast field sums, every prefix of the remaining rows is added to it, and
+weights are popcounts, in blocks of at most 2^16 codewords.  The search
+weighs its direct sums with the same layout.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -21,8 +26,8 @@ from .errors import CapExceededError, InvariantError
 DEFAULT_CODEWORD_CAP = 2 ** 24
 DEFAULT_SUBSPACE_CAP = 10 ** 7
 
-# message blocks are materialized at most this many codewords at a time
-_BLOCK_SIZE = 4096
+# codewords are materialized and weighed at most this many at a time
+_BLOCK_CODEWORDS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,106 @@ def reduce_vector(field: Subfield, R: np.ndarray, pivots: Sequence[int], v) -> n
 
 
 # ---------------------------------------------------------------------------
+# packed codewords
+
+class WordLayout:
+    """Codewords of one length over one field as rows of uint64 words.
+
+    A coordinate takes g = d*w bits: its d base-p digits (the digit places
+    the field's element codes use), w bits each, where w = 1 when p = 2 and
+    otherwise the least width with 2(p - 1) < 2^w, so that a digit sum never
+    carries into the next digit.  A word holds 64 // g whole coordinates.
+    Field addition is XOR when p = 2 and otherwise a digit-wise add that
+    subtracts p from every digit that reached it, done on all digits of a
+    word at once (SWAR).  A weight ORs the bits of each coordinate onto its
+    low bit and counts the low bits.
+    """
+
+    def __init__(self, field: Subfield, length: int):
+        spec = field.spec
+        p = self.p = spec.p
+        self.places = p ** np.flatnonzero(spec._digits[field.elements].any(axis=0))
+        w = 1 if p == 2 else (2 * p - 2).bit_length()
+        g = len(self.places) * w
+        per_word = 64 // g
+        self.words = -(-length // per_word)
+        # bit offset of digit k of the c-th coordinate of a word: c*g + k*w
+        self.shifts = (np.arange(per_word)[:, None] * g
+                       + np.arange(len(self.places)) * w).astype(np.uint64)
+        low = ((1 << (g * per_word)) - 1) // ((1 << g) - 1)  # bit 0 of each coordinate
+        ones = low * (((1 << g) - 1) // ((1 << w) - 1))  # bit 0 of each digit
+        self.low = np.uint64(low)
+        self.ones = np.uint64(ones)
+        self.offset = np.uint64((2 ** (w - 1) - p) * ones) if p > 2 else None
+        self.top = np.uint64(w - 1)
+        # shifts that OR bits i..i+g-1 onto bit i
+        self.folds = []
+        covered = 1
+        while 2 * covered <= g:
+            self.folds.append(covered)
+            covered *= 2
+        if covered < g:
+            self.folds.append(g - covered)
+
+    def pack(self, codes: np.ndarray) -> np.ndarray:
+        """Packed words of rows of element codes (last axis: the coordinates)."""
+        per_word = len(self.shifts)
+        lead = codes.shape[:-1]
+        padded = np.zeros(lead + (self.words * per_word,), dtype=np.int64)
+        padded[..., :codes.shape[-1]] = codes
+        digits = padded.reshape(lead + (self.words, per_word, 1)) // self.places % self.p
+        return (digits.astype(np.uint64) << self.shifts).sum(axis=(-2, -1), dtype=np.uint64)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field sum of packed words, broadcast; a new array."""
+        op = np.bitwise_xor if self.p == 2 else np.add
+        if self.words == 1:
+            s = op(a, b)
+        else:
+            # word by word: numpy broadcasts slowly over a short last axis
+            s = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+            for j in range(self.words):
+                op(a[..., j], b[..., j], out=s[..., j])
+        if self.p == 2:
+            return s
+        ge = s + self.offset  # bit w-1 of a digit is set iff its sum is >= p
+        ge >>= self.top
+        ge &= self.ones
+        ge *= np.uint64(self.p)
+        s -= ge
+        return s
+
+    def weights(self, words: np.ndarray) -> np.ndarray:
+        """Hamming weights of packed codewords (last axis: the words of one
+        codeword); overwrites `words`."""
+        for shift in self.folds:
+            words |= words >> np.uint64(shift)
+        if self.folds:
+            words &= self.low
+        counts = np.bitwise_count(words)
+        # word by word: numpy reduces a short last axis slowly
+        out = counts[..., 0].astype(np.intp)
+        for j in range(1, counts.shape[-1]):
+            out += counts[..., j]
+        return out
+
+    def sum_span(self, spans) -> np.ndarray:
+        """Span of a direct sum from the spans of its summands, each listing
+        the zero word first; the first summand varies slowest."""
+        # built from the last summand back, so the long axis is innermost
+        out = spans[-1]
+        for s in spans[-2::-1]:
+            out = self.add(s[:, None, :], out[None, :, :]).reshape(-1, self.words)
+        return out
+
+
+@lru_cache(maxsize=64)
+def word_layout(field: Subfield, length: int) -> WordLayout:
+    """The layout of length-`length` codewords over `field`, built once."""
+    return WordLayout(field, length)
+
+
+# ---------------------------------------------------------------------------
 # codes
 
 class LinearCode:
@@ -149,12 +254,12 @@ class LinearCode:
     def codeword_count(self) -> int:
         return self.field.size ** self.dim
 
-    # -- enumeration kernels -------------------------------------------------
+    # -- enumeration kernel ----------------------------------------------------
 
-    def _message_blocks(self, cap: int) -> Iterator[np.ndarray]:
-        """Blocks of codewords covering the message space exactly once, in
-        lexicographic message order over the field's element ordering."""
-        spec = self.field.spec
+    def _message_weights(self, cap: int) -> Iterator[np.ndarray]:
+        """Hamming weights of the codewords, in blocks covering the message
+        space exactly once, in lexicographic message order over the field's
+        element ordering (so message 0 comes first)."""
         n = self.length
         k = self.dim
         Q = self.field.size
@@ -162,28 +267,24 @@ class LinearCode:
             raise CapExceededError(
                 f"codeword enumeration for [{n},{k}] over a size-{Q} field",
                 self.codeword_count, cap)
+        layout = word_layout(self.field, n)
+        zero = np.zeros((1, layout.words), dtype=np.uint64)
         if k == 0:
-            yield np.zeros((1, n), dtype=np.int32)
+            yield layout.weights(zero)
             return
+        # the field multiples of each generator row, packed: lines[r][c]
         elems = self.field.elements
+        lines = layout.pack(self.field.spec.vmul(elems[None, :, None], self.gens[:, None, :]))
         low = 1
-        while low < k and Q ** (low + 1) <= _BLOCK_SIZE:
+        while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
             low += 1
-        # suffix block over the last `low` rows; process right-to-left so the
-        # earliest of those rows varies slowest
-        block = np.zeros((1, n), dtype=np.int32)
-        for r in range(k - 1, k - low - 1, -1):
-            scaled = spec.vmul(elems[:, None], self.gens[r][None, :])
-            block = spec.vadd(scaled[:, None, :], block[None, :, :]).reshape(-1, n)
-        if k == low:
-            yield block
-            return
-        for prefix in itertools.product(elems.tolist(), repeat=k - low):
-            w = np.zeros(n, dtype=np.int32)
-            for c, row in zip(prefix, self.gens):
-                if c:
-                    w = spec.vadd(w, spec.vscale(int(c), row))
-            yield spec.vadd(block, w[None, :])
+        block = layout.sum_span(lines[k - low:])
+        prefixes = layout.sum_span(lines[:k - low]) if k > low else zero
+        step = max(1, _BLOCK_CODEWORDS // len(block))
+        for start in range(0, len(prefixes), step):
+            # no name holds the sums, so they are freed before the next block
+            yield layout.weights(layout.add(prefixes[start:start + step, None, :],
+                                            block[None, :, :])).ravel()
 
     def min_distance(self, cap: int = DEFAULT_CODEWORD_CAP) -> int:
         """Exact minimum Hamming weight over all nonzero codewords."""
@@ -191,8 +292,7 @@ class LinearCode:
             raise ValueError("minimum distance is undefined for the zero code")
         best = self.length + 1
         first = True
-        for block in self._message_blocks(cap):
-            w = np.count_nonzero(block, axis=1)
+        for w in self._message_weights(cap):
             if first:
                 w = w[1:]  # message 0 comes first by construction
                 first = False
@@ -207,8 +307,7 @@ class LinearCode:
     def weight_distribution(self, cap: int = DEFAULT_CODEWORD_CAP) -> np.ndarray:
         """Codeword counts by Hamming weight, indices 0..length."""
         counts = np.zeros(self.length + 1, dtype=np.int64)
-        for block in self._message_blocks(cap):
-            w = np.count_nonzero(block, axis=1)
+        for w in self._message_weights(cap):
             counts += np.bincount(w, minlength=self.length + 1)
         if counts[0] != 1 or int(counts.sum()) != self.codeword_count:
             raise InvariantError("weight distribution failed its sanity checks")

@@ -29,11 +29,9 @@ import numpy as np
 from .algebra import AbelianGroup
 from .errors import CapExceededError, InvariantError
 from .idempotents import decompose_algebra
+from . import linear_codes
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
-                           LinearCode, enumerate_codes)
-
-# broadcast span sums are materialized at most this many codewords at a time
-_BLOCK_CODEWORDS = 2 ** 16
+                           LinearCode, WordLayout, enumerate_codes)
 
 
 @dataclass(frozen=True)
@@ -89,26 +87,16 @@ class SearchResult:
         return [e for e in self.codes if e.params.dim == dim]
 
 
-class _Kernel:
-    """Spans and weights of direct sums, on packed words.
-
-    Every codeword is a row of uint64 words.  A coordinate takes g = d*w bits:
-    its d base-p digits (the digit places the base field's element codes
-    use), w bits each, where w = 1 when p = 2 and otherwise the least width
-    with 2(p - 1) < 2^w, so that a digit sum never carries into the next
-    digit.  A word holds 64 // g whole coordinates.  Field addition is XOR
-    when p = 2 and otherwise a digit-wise add that subtracts p from every
-    digit that reached it, done on all digits of a word at once (SWAR).  A
-    weight ORs the bits of each coordinate onto its low bit and counts the
-    low bits.
-    """
+class _Kernel(WordLayout):
+    """Spans and weights of direct sums, one row of packed words (the
+    base field's `WordLayout`) per codeword."""
 
     def __init__(self, dec, spec: SearchSpec):
         self.dec = dec
         self.spec = spec
         fspec = dec.spec
-        p = self.p = fspec.p
         self.n = dec.group.size * spec.index
+        super().__init__(fspec.subfield(1), self.n)
         self.scalars = fspec.subfield(1).elements
         self.Q = len(self.scalars)
         # no [n, k, >= d_min] code exists beyond the Singleton bound
@@ -117,66 +105,11 @@ class _Kernel:
         while self.Q ** (self.max_dim + 1) <= spec.caps.codewords:
             self.max_dim += 1
 
-        digits = self.scalars[:, None] // p ** np.arange(fspec.n) % p
-        self.places = p ** np.flatnonzero(digits.any(axis=0))
-        w = 1 if p == 2 else (2 * p - 2).bit_length()
-        g = len(self.places) * w
-        per_word = 64 // g
-        self.words = -(-self.n // per_word)
-        # bit offset of digit k of the c-th coordinate of a word: c*g + k*w
-        self.shifts = (np.arange(per_word)[:, None] * g
-                       + np.arange(len(self.places)) * w).astype(np.uint64)
-        ones = sum(1 << int(b) for b in self.shifts.ravel())
-        self.ones = np.uint64(ones)
-        self.offset = np.uint64((2 ** (w - 1) - p) * ones) if p > 2 else None
-        self.top = np.uint64(w - 1)
-        self.low = np.uint64(sum(1 << (c * g) for c in range(per_word)))
-        # shifts that OR bits i..i+g-1 onto bit i
-        self.folds = []
-        covered = 1
-        while 2 * covered <= g:
-            self.folds.append(covered)
-            covered *= 2
-        if covered < g:
-            self.folds.append(g - covered)
-
     def check_cap(self, stage: int, dim: int) -> None:
         if dim > self.max_dim:
             raise CapExceededError(
                 f"search stage {stage}: codeword enumeration for [{self.n},{dim}]",
                 self.Q ** dim, self.spec.caps.codewords)
-
-    def pack(self, codes: np.ndarray) -> np.ndarray:
-        """Packed words of rows of base-field element codes (last axis: the
-        n coordinates)."""
-        per_word = len(self.shifts)
-        lead = codes.shape[:-1]
-        padded = np.zeros(lead + (self.words * per_word,), dtype=np.int64)
-        padded[..., :self.n] = codes
-        digits = padded.reshape(lead + (self.words, per_word, 1)) // self.places % self.p
-        return (digits.astype(np.uint64) << self.shifts).sum(axis=(-2, -1), dtype=np.uint64)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field sum of packed words, broadcast; a new array."""
-        if self.p == 2:
-            return a ^ b
-        s = a + b
-        ge = s + self.offset  # bit w-1 of a digit is set iff its sum is >= p
-        ge >>= self.top
-        ge &= self.ones
-        ge *= np.uint64(self.p)
-        s -= ge
-        return s
-
-    def weights(self, words: np.ndarray) -> np.ndarray:
-        """Hamming weights of packed codewords (last axis: the words of one
-        codeword); overwrites `words`."""
-        for shift in self.folds:
-            words |= words >> np.uint64(shift)
-        if self.folds:
-            words &= self.low
-        counts = np.bitwise_count(words)
-        return counts.sum(axis=-1, dtype=np.intp)
 
     def span(self, i: int, outer: LinearCode) -> np.ndarray:
         """Every codeword of the concatenation of `outer` with the i-th
@@ -189,26 +122,20 @@ class _Kernel:
         lines = self.pack(fspec.vmul(self.scalars[:, None], rows[:, None, :]))
         return self.sum_span(lines)
 
-    def sum_span(self, spans) -> np.ndarray:
-        """Span of a direct sum from the spans of its summands, each listing
-        the zero word first."""
-        out = spans[0]
-        for s in spans[1:]:
-            out = self.add(out[:, None, :], s[None, :, :]).reshape(-1, self.words)
-        return out
-
     def weigh(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
         """Weight distributions of base + spans[j], one row per j.
 
-        The sums are streamed in blocks of at most _BLOCK_CODEWORDS codewords.
-        Both spans start with the zero word and the generators are independent
-        by construction, so exactly one sum may have weight 0.
+        The sums are streamed in blocks of at most
+        `linear_codes._BLOCK_CODEWORDS` codewords, read at each call.  Both
+        spans start with the zero word and the generators are independent by
+        construction, so exactly one sum may have weight 0.
         """
         n = self.n
         m, size, _ = spans.shape
-        step_m = max(1, _BLOCK_CODEWORDS // (len(base) * size))
-        step_b = max(1, _BLOCK_CODEWORDS // size)
-        step_s = min(size, _BLOCK_CODEWORDS)
+        block = linear_codes._BLOCK_CODEWORDS
+        step_m = max(1, block // (len(base) * size))
+        step_b = max(1, block // size)
+        step_s = min(size, block)
         out = np.zeros((m, n + 1), dtype=np.int64)
         for j in range(0, m, step_m):
             part = spans[j:j + step_m, None]

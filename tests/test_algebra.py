@@ -270,6 +270,26 @@ def test_group_algebra_mismatch_errors():
         a * b
 
 
+@pytest.mark.parametrize("q,tower", [(2, 4), (4, 2), (3, 2)])
+def test_basis_coordinates_and_exact_degree(q, tower):
+    spec = FieldSpec(q, tower)
+    g = spec.generator
+    assert spec.exact_degree(g) == tower and spec.exact_degree(1) == 1
+    basis = [spec.pow_(g, j) for j in range(tower)]
+    table = spec.basis_coordinates(basis)
+    assert set(table.ravel().tolist()) <= set(spec.subfield_codes(1).tolist())
+    for c in range(spec.size):
+        acc = 0
+        for coef, b in zip(table[c].tolist(), basis):
+            acc = spec.add(acc, spec.mul(coef, b))
+        assert acc == c
+    # a subspace: its elements have coordinates, the others -1s
+    part = spec.basis_coordinates(basis[:1])
+    assert np.flatnonzero(part[:, 0] >= 0).tolist() == spec.subfield_codes(1).tolist()
+    assert (part[[c for c in range(spec.size) if part[c, 0] < 0]] == -1).all()
+    assert spec.basis_coordinates([1, g, spec.add(1, g)]) is None  # dependent
+
+
 def test_element_string_roundtrip():
     spec = FieldSpec(3, 2)
     for c in range(spec.size):
@@ -277,3 +297,11 @@ def test_element_string_roundtrip():
         assert spec.from_string(s).code == c
     with pytest.raises(ValueError):
         spec.from_string("31")  # digit out of range for characteristic 3
+    # exactly one digit per degree of the presentation, commas or not
+    f16 = FieldSpec(2, 4)
+    assert f16.from_string("0,1,1,0").code == f16.from_string("0110").code == 6
+    for s in ("1", "011", "01100", "0,1"):
+        with pytest.raises(ValueError, match="presentation needs 4"):
+            f16.from_string(s)
+    with pytest.raises(ValueError, match="presentation needs 2"):
+        FieldSpec(4, 1).from_string("1")

@@ -170,6 +170,16 @@ def test_class_member_outside_the_group_exits_2(capsys, tmp_path):
         assert err.strip() == "error: class_member [4, 7] lies outside the group [5, 5]"
 
 
+def test_short_element_string_exits_2(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"q": 4, "field_degree": 1, "length": 2,
+                                "modulus": [1, 1, 1], "generators": [["1", "01"]]}))
+    code, out, err = run(capsys, "--no-banner", "distance", "--code", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == ("error: element string '1' has 1 digits; "
+                           "the F_4 presentation needs 2")
+
+
 @pytest.mark.parametrize("command", ["distance", "construct"])
 @pytest.mark.parametrize("doc", [[1, 2], 5, "code"])
 def test_non_object_descriptor_exits_2(capsys, tmp_path, command, doc):

@@ -135,6 +135,17 @@ def test_duplicate_class_keys_rejected():
         qa_from_constituents(G55, 2, 2, {(1, 2): c, (2, 4): c})
 
 
+def test_member_keys_outside_the_group_rejected():
+    """A key coordinate outside [0, order) is an error, not reduced modulo
+    the order ((4, 7) would otherwise be read as the member (4, 2))."""
+    f16 = decompose_algebra(G55, 2).spec.subfield(4)
+    c = LinearCode(f16, 1, [[1]])
+    assert qa_from_constituents(G55, 2, 1, {(4, 2): c}).dim == 4
+    for key in [(4, 7), (-1, 0), (5, 0)]:
+        with pytest.raises(ValueError, match=r"lies outside the group \[5, 5\]"):
+            qa_from_constituents(G55, 2, 1, {key: c})
+
+
 def test_wrong_field_or_length_rejected():
     dec = decompose_algebra(G55, 2)
     f2 = dec.spec.subfield(1)
@@ -206,6 +217,20 @@ def test_gcc_simple_concatenation_structure():
     assert (code.length, code.dim) == (6, 2)
     words = {tuple(r) for r in code.gens.tolist()}
     assert words == {(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)}
+
+
+def test_gcc_rejects_basis_scalars_outside_the_outer_field():
+    from qacodes.algebra import FieldSpec
+    spec = FieldSpec(2, 4)
+    inner = LinearCode(spec.subfield(1), 3, [[1, 0, 1], [0, 1, 1]])
+    w = int(spec.subfield_codes(2)[2])  # an element of F_4 outside F_2
+    outer = LinearCode(spec.subfield(2), 2, [[1, w]])
+    assert gcc_build(simple_scheme(inner, outer)).dim == 2
+    x = spec.from_string("0100").code  # independent of 1, but not in F_4
+    for basis in ([1, x], [1, 1]):
+        scheme = GCCScheme([inner], [inner.gens.copy()], [np.array(basis)], [outer])
+        with pytest.raises(ValueError, match="not a basis of the outer field"):
+            gcc_build(scheme)
 
 
 def test_gcc_rejects_overlapping_inners():

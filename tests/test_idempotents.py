@@ -128,6 +128,10 @@ def test_projection_examples():
     # rejects field elements outside the class field
     with pytest.raises(ValueError):
         dec.lift(0, spec.from_string("0100"))
+    for code in (spec.from_string("0100").code, -1, spec.size):
+        with pytest.raises(ValueError, match="class field"):
+            dec.coords_in_power_basis(0, code)
+    assert dec.coords_in_power_basis(0, 1).tolist() == [1]
 
 
 def test_projection_lift_inverse_and_homomorphism():

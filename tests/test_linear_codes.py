@@ -1,14 +1,16 @@
 """Linear code machinery: canonical forms, duality, hulls, enumeration."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from qacodes import linear_codes
 from qacodes.algebra import FieldSpec, build_tower, AbelianGroup
 from qacodes.errors import CapExceededError
-from qacodes.linear_codes import (CodeParams, LinearCode, code_from_descriptor,
+from qacodes.linear_codes import (CodeParams, LinearCode, WordLayout, code_from_descriptor,
                                   code_to_descriptor, embed_code, enumerate_codes,
                                   frobenius_twist, gaussian_binomial, rref,
                                   rref_canonicalize, subspace_count)
@@ -84,18 +86,81 @@ def _naive_span_weights(code):
     return [counts.get(i, 0) for i in range(code.length + 1)]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_weight_distribution_against_naive(seed):
-    rng = random.Random(seed)
-    field = [F2, F3][seed % 2]
-    n = rng.randrange(4, 8)
-    k = rng.randrange(1, n)
-    rows = [[rng.randrange(field.size) for _ in range(n)] for _ in range(k)]
-    code = LinearCode(field, n, rows)
-    wd = code.weight_distribution()
-    assert wd.tolist() == _naive_span_weights(code)
-    if code.dim:
-        assert code.min_distance() == next(i for i in range(1, n + 1) if wd[i])
+def _field(q, tower=1, degree=1):
+    """The degree-`degree` extension of F_q inside a degree-`tower` presentation."""
+    return FieldSpec(q, tower).subfield(degree)
+
+
+def _random_code(field, n, k, seed):
+    rng = np.random.default_rng(seed)
+    return LinearCode(field, n, rng.choice(field.elements, size=(k, n)))
+
+
+# (q, tower, degree, n, k, packed words per codeword); a word holds 64 // g
+# coordinates of g bits (see WordLayout), so the second case of each
+# characteristic spans several words
+NAIVE_CASES = [
+    (2, 1, 1, 7, 4, 1), (2, 1, 1, 70, 6, 2),
+    (3, 1, 1, 7, 4, 1), (3, 1, 1, 23, 4, 2),
+    (4, 1, 1, 6, 3, 1), (4, 1, 1, 33, 3, 2),
+    (5, 1, 1, 6, 3, 1), (5, 1, 1, 17, 3, 2),
+    (7, 1, 1, 5, 3, 1), (7, 1, 1, 17, 2, 2),
+    (8, 1, 1, 5, 3, 1), (8, 1, 1, 22, 2, 2),
+    (9, 1, 1, 5, 3, 1), (9, 1, 1, 11, 2, 2),
+    (4, 2, 1, 25, 3, 2),   # F_4 inside the F_16 presentation: 3 of 4 digit places
+    (2, 4, 2, 8, 3, 1),    # F_4 inside F_16 over F_2
+    (2, 11, 1, 12, 6, 1),  # F_2 inside F_2048, which has no pair tables
+    (2, 11, 11, 6, 1, 2),  # all of F_2048: 11 bits per coordinate
+]
+
+
+@pytest.mark.parametrize("case", range(len(NAIVE_CASES)))
+def test_weight_distribution_against_naive(case):
+    q, tower, degree, n, k, words = NAIVE_CASES[case]
+    field = _field(q, tower, degree)
+    assert WordLayout(field, n).words == words
+    for seed in (2 * case, 2 * case + 1):
+        code = _random_code(field, n, k, seed)
+        wd = code.weight_distribution()
+        assert wd.tolist() == _naive_span_weights(code)
+        if code.dim:
+            assert code.min_distance() == next(i for i in range(1, n + 1) if wd[i])
+
+
+def _krawtchouk(j, i, n, Q):
+    return sum((-1) ** s * (Q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+@pytest.mark.parametrize("q,tower,degree,n", [
+    (2, 1, 1, 12), (3, 1, 1, 8), (4, 1, 1, 6), (5, 1, 1, 5), (7, 1, 1, 4),
+    (8, 1, 1, 4), (9, 1, 1, 4), (4, 2, 1, 6), (2, 11, 1, 10)])
+def test_weight_distribution_obeys_macwilliams(q, tower, degree, n):
+    """|C| B_j = sum_i A_i K_j(i), in exact integers, where A and B are the
+    weight distributions of C and of its dual and K_j is the Krawtchouk
+    polynomial of the field size."""
+    field = _field(q, tower, degree)
+    Q = field.size
+    for seed, k in enumerate(range(1, n)):
+        code = _random_code(field, n, k, seed)
+        A = [int(a) for a in code.weight_distribution()]
+        B = [int(b) for b in code.dual().weight_distribution()]
+        for j in range(n + 1):
+            assert code.codeword_count * B[j] == sum(
+                A[i] * _krawtchouk(j, i, n, Q) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("block", [3, 100])
+def test_enumeration_streams_small_blocks(monkeypatch, block):
+    """Blocks far smaller than the span, one prefix or several prefixes per
+    block, give the same distances and distributions."""
+    codes = [_random_code(_field(q, tower, degree), n, k, 7)
+             for q, tower, degree, n, k, _ in NAIVE_CASES]
+    codes.append(LinearCode(F2, 9, np.eye(9, dtype=int)))  # distance 1: early exit
+    codes.append(_random_code(_field(2, 4, 4), 3, 3, 7))   # F_16: 16 prefixes of 256
+    want = [(c.weight_distribution().tolist(), c.min_distance()) for c in codes]
+    monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+    assert [(c.weight_distribution().tolist(), c.min_distance()) for c in codes] == want
 
 
 def test_weight_distribution_examples():

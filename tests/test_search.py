@@ -1,10 +1,9 @@
 """Staged search: soundness, stage-1 completeness, determinism."""
 
-import importlib
-
 import numpy as np
 import pytest
 
+from qacodes import linear_codes
 from qacodes.algebra import AbelianGroup
 from qacodes.concatenation import is_qa, qa_from_constituents
 from qacodes.idempotents import decompose_algebra
@@ -123,11 +122,10 @@ def test_search_keeps_least_assignment_per_fingerprint():
 
 def test_search_streams_large_sums(monkeypatch):
     """Blocks smaller than one candidate's span give the same result."""
-    search_module = importlib.import_module("qacodes.search")  # not the function
     specs = [SearchSpec(q=2, group=G33, index=2, d_min=8),
              SearchSpec(q=3, group=AbelianGroup((2, 2)), index=2, d_min=3)]
     whole = [search(spec) for spec in specs]
-    monkeypatch.setattr(search_module, "_BLOCK_CODEWORDS", 3)
+    monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", 3)
     for spec, want in zip(specs, whole):
         got = search(spec)
         assert [(e.assignment, e.fingerprint) for e in got.codes] == \
