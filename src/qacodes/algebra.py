@@ -204,6 +204,11 @@ def modulus_str(modulus: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # the ambient field
 
+def element_digits(s: str, p: int) -> list[str]:
+    """Digits of an element string: comma-separated when p > 10 or commas occur."""
+    return s.split(",") if p > 10 or "," in s else list(s.strip())
+
+
 class FieldSpec:
     """The field K = F_p[x]/(modulus) together with a designated base field
     F_q (q = p^base_degree) and, optionally, a designated primitive root of
@@ -485,7 +490,7 @@ class FieldSpec:
     def from_string(self, s: str) -> "FieldElement":
         """Parse a coefficient string, lowest degree first ('0110' = x + x^2),
         with exactly one digit per degree of the presentation."""
-        digits = [int(ch) for ch in s.split(",")] if "," in s else [int(ch) for ch in s.strip()]
+        digits = [int(ch) for ch in element_digits(s, self.p)]
         if len(digits) != self.n:
             raise ValueError(f"element string {s!r} has {len(digits)} digits; the "
                              f"F_{self.size} presentation needs {self.n}")

@@ -23,8 +23,8 @@ import numpy as np
 from .algebra import AbelianGroup, GroupAlgebraElement, GroupElement
 from .errors import InvariantError
 from .idempotents import SemisimpleDecomposition, decompose_algebra
-from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode,
-                           embed_code, frobenius_twist, rank)
+from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode, _json_ints,
+                           _json_rows, _json_value, embed_code, frobenius_twist, rank)
 
 
 class QACode:
@@ -78,19 +78,9 @@ class QACode:
     def flattened(self) -> LinearCode:
         """The code as a base-field linear code of length |H| * index."""
         dec = self.decomposition
-        spec = dec.spec
-        m = self.group.size
-        rows = []
-        for i, outer in self.assignment.items():
-            basis = dec._power_basis[i]
-            for v in outer.gens:
-                for b in basis:
-                    scaled = spec.vscale(int(b), v)
-                    blocks = dec.lift_vector(i, scaled)
-                    rows.append(blocks.reshape(-1))
-        gens = (np.array(rows, dtype=np.int32) if rows
-                else np.zeros((0, m * self.index), dtype=np.int32))
-        code = LinearCode(spec.subfield(1), m * self.index, gens)
+        gens = np.vstack([dec.flatten(i, outer.gens) for i, outer in self.assignment.items()]
+                         + [np.zeros((0, self.length), dtype=np.int32)])
+        code = LinearCode(dec.spec.subfield(1), self.length, gens)
         if code.dim != self.dim:
             raise InvariantError(
                 f"flattened dimension {code.dim} does not match the expected {self.dim}")
@@ -293,7 +283,7 @@ def gcc_scheme_from_qa(qa: QACode) -> GCCScheme:
     for i, outer in qa.assignment.items():
         inners.append(dec.minimal_ideal_code(i))
         encoders.append(dec.psi_matrix(i))
-        bases.append(dec._power_basis[i].copy())
+        bases.append(dec.power_basis(i))
         outers.append(outer)
     return GCCScheme(inners, encoders, bases, outers)
 
@@ -344,36 +334,27 @@ def distance_bound(obj, cap: int = DEFAULT_CODEWORD_CAP) -> int:
     with outer codes sorted by ascending distance, the minimum over v of
     d(outer_v) * d(inner_1 + ... + inner_v), all distances exact.
     """
+    # one slot per nonzero outer code: (outer, generator rows of its inner code)
     if isinstance(obj, QACode):
         dec = obj.decomposition
-        if not obj.assignment:
+        slots = [(outer, dec.psi_matrix(i)) for i, outer in obj.assignment.items()]
+        field, n = dec.spec.subfield(1), dec.group.size
+        if not slots:
             raise ValueError("the zero code has no distance bound")
-        entries = []
-        for i, outer in obj.assignment.items():
-            entries.append((outer.min_distance(cap), dec.classes[i].rep.index, i))
-        entries.sort(key=lambda t: (t[0], t[1]))
-        best = None
-        for v in range(1, len(entries) + 1):
-            inner = dec.ideal_sum_code([e[2] for e in entries[:v]])
-            val = entries[v - 1][0] * inner.min_distance(cap)
-            best = val if best is None else min(best, val)
-        return best
-    if isinstance(obj, GCCScheme):
-        nonzero = [(c.min_distance(cap), pos) for pos, c in enumerate(obj.outers)
-                   if c.dim > 0]
-        if not nonzero:
+    elif isinstance(obj, GCCScheme):
+        slots = [(outer, inner.gens) for inner, outer in zip(obj.inners, obj.outers)
+                 if outer.dim > 0]
+        field, n = obj.inners[0].field, obj.inner_length
+        if not slots:
             raise ValueError("all outer codes are zero; no distance bound")
-        nonzero.sort()
-        field = obj.inners[0].field
-        best = None
-        for v in range(1, len(nonzero) + 1):
-            rows = np.vstack([obj.inners[pos].gens for _, pos in nonzero[:v]])
-            inner = LinearCode(field, obj.inner_length, rows)
-            val = nonzero[v - 1][0] * inner.min_distance(cap)
-            best = val if best is None else min(best, val)
-        return best
-    raise TypeError(f"expected a quasi-abelian code or a concatenation scheme, "
-                    f"got {type(obj).__name__}")
+    else:
+        raise TypeError(f"expected a quasi-abelian code or a concatenation scheme, "
+                        f"got {type(obj).__name__}")
+    # the order among equal outer distances cannot change the minimum
+    ranked = sorted(((outer.min_distance(cap), rows) for outer, rows in slots),
+                    key=lambda t: t[0])
+    return min(d * LinearCode(field, n, np.vstack([rows for _, rows in ranked[:v]]))
+               .min_distance(cap) for v, (d, _) in enumerate(ranked, 1))
 
 
 def predict_params(inner_length: int, inner_dims: Sequence[int],
@@ -440,18 +421,20 @@ def qa_to_descriptor(qa: QACode) -> dict:
 def qa_from_descriptor(obj: dict) -> QACode:
     if not isinstance(obj, dict):
         raise ValueError("descriptor must be a JSON object")
-    group = AbelianGroup(obj["group"])
-    q = int(obj["q"])
-    index = int(obj["index"])
-    modulus = obj.get("modulus")
-    dec = decompose_algebra(group, q, modulus=tuple(modulus) if modulus else None)
+    group = AbelianGroup(_json_ints(obj["group"], "group"))
+    q = _json_value(obj["q"], int, "q")
+    index = _json_value(obj["index"], int, "index")
+    modulus = tuple(_json_ints(obj.get("modulus", []), "modulus")) or None
+    dec = decompose_algebra(group, q, modulus=modulus)
     spec = dec.spec
     assignment: dict = {}
-    for entry in obj.get("constituents", []):
-        member = tuple(int(c) for c in entry["class_member"])
+    for entry in _json_value(obj.get("constituents", []), list, "constituents"):
+        _json_value(entry, dict, "constituent")
+        member = tuple(_json_ints(entry["class_member"], "class_member"))
         i, _ = _class_position(dec, member)
         k_i = dec.classes[i].size
-        rows = [[spec.from_string(s).code for s in row] for row in entry["generators"]]
+        rows = [[spec.from_string(s).code for s in row]
+                for row in _json_rows(entry["generators"])]
         code = LinearCode(spec.subfield(k_i), index,
                           np.array(rows, dtype=np.int32).reshape(len(rows), index))
         if member in assignment:

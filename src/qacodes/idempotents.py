@@ -2,10 +2,12 @@
 
 The algebra splits into minimal ideals, one per q-cyclotomic class of H.
 Each ideal is a field: the maps `project` (ideal -> extension field, a
-character sum) and `lift` (extension field -> ideal, a scaled trace) realize
-the isomorphism in both directions.  Everything is validated eagerly at
-construction time so that arithmetic mistakes surface as construction
-failures instead of silently wrong codes.
+character sum) and `lift` (extension field -> ideal) realize the isomorphism
+in both directions.  The one lift map is `lift_vector`, on arrays of any
+shape: power-basis coordinates, then psi (the lifts of the power basis, by
+the trace formula); `lift` and `flatten` go through it.  The identities are
+validated once, at construction, so that arithmetic mistakes surface as
+construction failures instead of silently wrong codes.
 """
 
 from __future__ import annotations
@@ -97,8 +99,7 @@ class SemisimpleDecomposition:
     """Full decomposition data of F_q[H]: cyclotomic classes, primitive
     idempotents, and the per-class field identifications."""
 
-    def __init__(self, group: AbelianGroup, q: int,
-                 modulus=None, validate: bool = True):
+    def __init__(self, group: AbelianGroup, q: int, modulus=None):
         self.group = group
         self.q = q
         self.spec = build_tower(q, group, modulus=modulus)
@@ -153,8 +154,7 @@ class SemisimpleDecomposition:
             self._psi_matrix.append(psi_rows)
 
         self._ideal_codes: dict[int, LinearCode] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- small helpers -------------------------------------------------------
 
@@ -174,13 +174,15 @@ class SemisimpleDecomposition:
         """Designated generator of the class field over F_q (a character value)."""
         return FieldElement(self.spec, self._subfield_gen[i])
 
-    def coords_in_power_basis(self, i: int, code: int) -> np.ndarray:
+    def coords_in_power_basis(self, i: int, codes) -> np.ndarray:
+        """Power-basis coordinates of class-field codes in an array of any shape."""
         table = self._coords[i]
-        code = int(code)
-        if not 0 <= code < len(table) or table[code, 0] < 0:
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(table)
+                           or (table[codes, 0] < 0).any()):
             raise ValueError(
                 f"element is not in the degree-{self.classes[i].size} class field")
-        return table[code]
+        return table[codes]
 
     # -- the two identification maps ------------------------------------------
 
@@ -222,26 +224,33 @@ class SemisimpleDecomposition:
         k_i = self.classes[i].size
         if not self.spec.in_subfield(delta.code, k_i):
             raise ValueError(f"element is not in the degree-{k_i} class field")
-        coords = self.coords_in_power_basis(i, delta.code)
-        out = np.zeros(self.group.size, dtype=np.int32)
-        for c, row in zip(coords, self._psi_matrix[i]):
-            if c:
-                out = self.spec.vadd(out, self.spec.vscale(int(c), row))
-        return GroupAlgebraElement(self.group, self.spec, out)
+        return GroupAlgebraElement(self.group, self.spec,
+                                   self.lift_vector(i, [delta.code])[0])
 
-    def lift_vector(self, i: int, codes: np.ndarray) -> np.ndarray:
-        """Lift several class-field elements at once; returns one coefficient
-        row per input element."""
+    def lift_vector(self, i: int, codes) -> np.ndarray:
+        """Ideal coefficients of class-field codes in an array of any shape,
+        on one more axis of length |H|: the psi rows combined by power-basis
+        coordinates."""
         spec = self.spec
-        out = np.zeros((len(codes), self.group.size), dtype=np.int32)
-        for r, code in enumerate(codes):
-            coords = self.coords_in_power_basis(i, int(code))
-            row = out[r]
-            for c, prow in zip(coords, self._psi_matrix[i]):
-                if c:
-                    row = spec.vadd(row, spec.vscale(int(c), prow))
-            out[r] = row
+        coords = self.coords_in_power_basis(i, codes)[..., None]
+        psi = self._psi_matrix[i]
+        out = spec.vmul(coords[..., 0, :], psi[0])
+        for u in range(1, len(psi)):
+            out = spec.vadd(out, spec.vmul(coords[..., u, :], psi[u]))
         return out
+
+    def flatten(self, i: int, gens) -> np.ndarray:
+        """Base-field rows lift(b * v) for each row v of `gens` (a code over
+        the class field) and each power-basis element b, v outer and b
+        inner; block j of a row is the lift of coordinate j."""
+        gens = np.asarray(gens, dtype=np.int32)
+        basis = self._power_basis[i]
+        scaled = self.spec.vmul(gens[:, None, :], basis[:, None])
+        return self.lift_vector(i, scaled).reshape(len(gens) * len(basis), -1)
+
+    def power_basis(self, i: int) -> np.ndarray:
+        """Powers 1, g, ..., g^(k-1) of the subfield generator of class i."""
+        return self._power_basis[i].copy()
 
     def psi_matrix(self, i: int) -> np.ndarray:
         """Lift images of the power basis: the i-th ideal as row vectors."""
@@ -265,31 +274,30 @@ class SemisimpleDecomposition:
     # -- eager validation -------------------------------------------------------
 
     def _validate(self):
-        group, spec = self.group, self.spec
-        total = GroupAlgebraElement.zero(group, spec)
-        for i, e in enumerate(self.idempotents):
-            if e * e != e:
-                raise InvariantError(f"idempotent {i} is not idempotent")
-            total = total + e
-            for j in range(i + 1, self.class_count):
-                prod = e * self.idempotents[j]
-                if prod.weight():
-                    raise InvariantError(f"idempotents {i} and {j} are not orthogonal")
-        if total != GroupAlgebraElement.one(group, spec):
-            raise InvariantError("idempotents do not sum to the identity")
-        for i, cls in enumerate(self.classes):
-            k = cls.size
-            if rank(spec.subfield(1), self._psi_matrix[i]) != k:
-                raise InvariantError(f"ideal {i} does not have dimension {k}")
-            if self.lift(i, spec.one) != self.idempotents[i]:
-                raise InvariantError(f"lift of 1 is not the idempotent for class {i}")
-            if self.char_project(i, self.idempotents[i].coeffs) != 1:
-                raise InvariantError(f"projection of idempotent {i} is not 1")
-            for b in self._power_basis[i]:
-                lifted = self.lift(i, FieldElement(spec, int(b)))
-                if self.char_project(i, lifted.coeffs) != int(b):
-                    raise InvariantError(
-                        f"project(lift(.)) is not the identity on class {i}")
+        """Check the decomposition identities, once.  Every result is kept
+        in `identities` as (identity, where, holds); the first that fails
+        raises InvariantError naming the identity and the class."""
+        spec, es = self.spec, self.idempotents
+        results = [("sum of idempotents = 1", "all classes",
+                    sum(es[1:], es[0]) == GroupAlgebraElement.one(self.group, spec))]
+        for i, (cls, e) in enumerate(zip(self.classes, es)):
+            basis, where = self._power_basis[i], f"class {i}"
+            results += [
+                ("e^2 = e", where, e * e == e),
+                *(("orthogonality", f"classes {i} and {j}", not (e * es[j]).weight())
+                  for j in range(i + 1, len(es))),
+                ("ideal rank = class size", where,
+                 rank(spec.subfield(1), self._psi_matrix[i]) == cls.size),
+                ("lift(1) = e_i", where, self.lift(i, spec.one) == e),
+                ("project(e_i) = 1", where, self.char_project(i, e.coeffs) == 1),
+                ("project(lift(b)) = b on the power basis", where,
+                 [self.char_project(i, r) for r in self.lift_vector(i, basis)]
+                 == basis.tolist()),
+            ]
+        for identity, where, holds in results:
+            if not holds:
+                raise InvariantError(f"{identity} fails for {where}")
+        self.identities = results
 
     def __repr__(self):
         return (f"SemisimpleDecomposition({self.group!r} over F_{self.q}: "

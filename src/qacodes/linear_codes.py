@@ -14,13 +14,14 @@ weighs its direct sums with the same layout.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import FieldSpec, Subfield
+from .algebra import FieldSpec, Subfield, element_digits, prime_power
 from .errors import CapExceededError, InvariantError
 
 DEFAULT_CODEWORD_CAP = 2 ** 24
@@ -505,6 +506,29 @@ def code_to_descriptor(code: LinearCode) -> dict:
     }
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", str: "a string", dict: "an object"}
+
+
+def _json_value(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind` (a bool is no integer)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"descriptor {what} must be {_JSON_KINDS[kind]}, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _json_ints(value, what: str) -> list[int]:
+    return [_json_value(c, int, f"{what} entry") for c in _json_value(value, list, what)]
+
+
+def _json_rows(value) -> list[list[str]]:
+    rows = _json_value(value, list, "generators")
+    for row in rows:
+        for s in _json_value(row, list, "generator row"):
+            _json_value(s, str, "generator entry")
+    return rows
+
+
 def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode:
     """Rebuild a code from its JSON form.
 
@@ -514,21 +538,17 @@ def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode
     """
     if not isinstance(obj, dict):
         raise ValueError("descriptor must be a JSON object")
-    degree = int(obj["field_degree"])
-    length = int(obj["length"])
-    gens = obj.get("generators", [])
+    degree = _json_value(obj["field_degree"], int, "field_degree")
+    length = _json_value(obj["length"], int, "length")
+    gens = _json_rows(obj.get("generators", []))
     if spec is None:
-        q = int(obj["q"])
+        q = _json_value(obj["q"], int, "q")
+        p, b = prime_power(q)
         if "modulus" in obj:
-            modulus = [int(c) for c in obj["modulus"]]
-            from .algebra import prime_power
-            _, b = prime_power(q)
+            modulus = _json_ints(obj["modulus"], "modulus")
             spec = FieldSpec(q, (len(modulus) - 1) // b, modulus=modulus)
         else:
-            from .algebra import prime_power
-            _, b = prime_power(q)
-            width = len(gens[0][0].split(",")) if gens and "," in gens[0][0] else (
-                len(gens[0][0]) if gens else b * degree)
+            width = len(element_digits(gens[0][0], p)) if gens and gens[0] else b * degree
             if width % b != 0:
                 raise ValueError("element string width does not match the base field")
             spec = FieldSpec(q, width // b)

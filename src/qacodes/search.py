@@ -114,12 +114,9 @@ class _Kernel(WordLayout):
     def span(self, i: int, outer: LinearCode) -> np.ndarray:
         """Every codeword of the concatenation of `outer` with the i-th
         minimal ideal, one row of packed words each; row 0 is the zero word."""
-        dec = self.dec
-        fspec = dec.spec
-        rows = np.array([dec.lift_vector(i, fspec.vscale(int(b), v)).reshape(-1)
-                         for v in outer.gens for b in dec._power_basis[i]])
+        rows = self.dec.flatten(i, outer.gens)
         # the base-field multiples of each flattened generator
-        lines = self.pack(fspec.vmul(self.scalars[:, None], rows[:, None, :]))
+        lines = self.pack(self.dec.spec.vmul(self.scalars[:, None], rows[:, None, :]))
         return self.sum_span(lines)
 
     def weigh(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -163,10 +160,10 @@ def _stage1(kernel: _Kernel, i: int, counts: dict):
     for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
         if outer.dim == 0:
             continue
-        counts["candidates"] += 1
         dim = k_i * outer.dim
         if spec.dim_target is not None and dim > spec.dim_target:
             continue
+        counts["candidates"] += 1
         if dim > kernel.singleton:
             counts["singleton"] += 1
             continue

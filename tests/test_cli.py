@@ -188,3 +188,19 @@ def test_non_object_descriptor_exits_2(capsys, tmp_path, command, doc):
     code, _, err = run(capsys, "--no-banner", command, "--code", str(path))
     assert code == 2
     assert err.strip() == "error: descriptor must be a JSON object"
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 2, "group": 5, "index": 2},
+    {"q": 2, "group": [3, 3], "index": 2, "constituents": [1]},
+    {"q": 2, "group": [3, 3], "index": 2,
+     "constituents": [{"class_member": [1, 0], "generators": [[1, 0]]}]},
+    {"q": None, "group": [3, 3], "index": 2},
+    {"q": 2, "group": [3, 3], "index": True},
+], ids=["group", "constituent", "element", "q", "bool"])
+def test_mistyped_descriptor_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--no-banner", "construct", "--code", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

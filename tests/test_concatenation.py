@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qacodes.algebra import AbelianGroup, GroupAlgebraElement
-from qacodes.concatenation import (GCCScheme, block_idempotent, constituents_of,
+from qacodes.concatenation import (GCCScheme, QACode, block_idempotent, constituents_of,
                                    distance_bound, gcc_build, gcc_scheme_from_qa,
                                    is_qa, predict_params, qa_from_constituents,
                                    qa_from_descriptor, qa_to_descriptor,
@@ -255,6 +255,16 @@ def test_distance_bound_values(instances):
         distance_bound(qa_from_constituents(G33, 2, 3, {}))
     with pytest.raises(TypeError):
         distance_bound("nope")
+    # a zero outer code adds no slot to a scheme's bound
+    qa = instances["50"]
+    scheme = gcc_scheme_from_qa(qa)
+    zero = LinearCode(scheme.outers[0].field, qa.index, [])
+    scheme.outers[0] = zero
+    rest = QACode(qa.decomposition, qa.index, dict(list(qa.assignment.items())[1:]))
+    assert distance_bound(scheme) == distance_bound(rest)
+    scheme.outers[:] = [zero] * len(scheme.outers)
+    with pytest.raises(ValueError, match="all outer codes are zero"):
+        distance_bound(scheme)
 
 
 def test_predict_params_examples():
@@ -319,6 +329,7 @@ def test_random_assignment_sweep(q, orders, ell):
         if qa.assignment:
             assert gcc_build(gcc_scheme_from_qa(qa)) == flat
             assert flat.min_distance() >= distance_bound(qa)
+            assert distance_bound(gcc_scheme_from_qa(qa)) == distance_bound(qa)
 
 
 def test_trivial_group_makes_every_code_quasi_abelian():

@@ -1,8 +1,13 @@
 """Cyclotomic classes, primitive idempotents, and the minimal-ideal maps."""
 
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qacodes
 
 from qacodes.algebra import (AbelianGroup, FieldElement, GroupAlgebraElement,
                              build_tower)
@@ -207,3 +212,33 @@ def test_psi_matrix_rows_span_the_ideal():
         code = dec.minimal_ideal_code(i)
         for row in rows:
             assert code.contains(row)
+
+
+@pytest.mark.parametrize("orders,q", [((5, 5), 2), ((3, 3), 4), ((2, 2), 3)])
+def test_lift_vector_matches_lift_on_any_shape(orders, q):
+    dec = decompose_algebra(AbelianGroup(orders), q)
+    spec = dec.spec
+    rng = np.random.default_rng(7)
+    for i in range(dec.class_count):
+        codes = spec.subfield_codes(dec.classes[i].size)
+        for shape in ((4, 3), (2, 3, 2)):
+            sample = rng.choice(codes, size=shape)
+            got = dec.lift_vector(i, sample)
+            assert got.shape == shape + (dec.group.size,)
+            for idx in np.ndindex(*shape):
+                want = dec.lift(i, FieldElement(spec, int(sample[idx])))
+                assert got[idx].tolist() == want.coeffs.tolist()
+    # codes out of range, and one outside F_q where the tower is larger
+    outside = [c for c in range(spec.size) if not spec.in_subfield(c, 1)][:1]
+    for bad in [-1, spec.size] + outside:
+        with pytest.raises(ValueError, match="class field"):
+            dec.lift_vector(0, [[0, bad]])
+
+
+def test_lift_internals_read_only_in_idempotents():
+    """Every lift, flatten and power-basis use goes through the methods of
+    SemisimpleDecomposition, so that the lift map exists once."""
+    internal = re.compile(r"\._(power_basis|coords|psi_matrix)\b")
+    readers = [path.name for path in Path(qacodes.__file__).parent.glob("*.py")
+               if internal.search(path.read_text(encoding="utf-8"))]
+    assert readers == ["idempotents.py"]

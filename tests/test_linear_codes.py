@@ -285,3 +285,16 @@ def test_descriptor_roundtrip():
     # width-based fallback without the modulus key
     del doc["modulus"]
     assert code_from_descriptor(doc) == code
+
+
+@pytest.mark.parametrize("code", [
+    LinearCode(FieldSpec(11, 1).subfield(1), 3, [[1, 10, 3]]),
+    LinearCode(FieldSpec(11, 2).subfield(2), 2, [[1, 21], [0, 120]]),
+], ids=["F11", "F121"])
+def test_descriptor_roundtrip_beyond_ten(code):
+    # for p > 10 a digit such as 10 takes two characters, so element strings
+    # are always read as comma-separated digits
+    doc = code_to_descriptor(code)
+    assert code_from_descriptor(doc) == code
+    del doc["modulus"]
+    assert code_from_descriptor(doc) == code

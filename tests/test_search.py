@@ -195,11 +195,15 @@ def test_stage1_filter_honours_the_dimension_target():
 
 
 def test_search_stats_report_throughput():
-    res = search(SearchSpec(q=2, group=G33, index=2, d_min=16))
-    for s in res.stats["stages"]:
-        assert s["weighed"] == s["candidates"] - s.get("pruned", 0) - s["singleton"]
-        assert s["weighed_per_s"] >= 0
-    assert res.stats["stages"][0]["weighed"] == 24
+    # every stage, stage 1 included, counts only candidates within the
+    # dimension target
+    for d_min, dim_target in ((16, None), (8, 2)):
+        res = search(SearchSpec(q=2, group=G33, index=2, d_min=d_min,
+                                dim_target=dim_target))
+        for s in res.stats["stages"]:
+            assert s["weighed"] == s["candidates"] - s.get("pruned", 0) - s["singleton"]
+            assert s["weighed_per_s"] >= 0
+        assert res.stats["stages"][0]["weighed"] == 24
 
 
 def test_search_dim_target_filters_output():
