@@ -6,7 +6,12 @@ The base field F_q (q = p^b) and every intermediate extension of F_q are
 realized as Frobenius-fixed subsets of K, never as standalone fields.  A
 field element is encoded as an integer in [0, p^n): its base-p digits are
 the polynomial coefficients, lowest degree first.  Vectorized table lookups
-on these integer codes are what the linear-algebra kernels run on.
+on these integer codes are what the linear-algebra kernels run on: `vadd`
+and `vmul` (pair tables up to a size limit, digit-wise addition and
+log/exp multiplication above it), `vpow`, and one field sum, `vsum`, a
+digit-wise sum mod p on either presentation.  Every dot product over the
+field -- matrix products, projections, lifts, traces, polynomial
+evaluation -- is `vdot` or `vtrace`, built on `vsum`.
 
 Group elements are coordinate tuples ordered mixed-radix lexicographically
 with the rightmost coordinate varying fastest; that single ordering fixes
@@ -15,6 +20,7 @@ every coefficient-vector layout downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from functools import cached_property
@@ -245,14 +251,15 @@ class FieldSpec:
                 f"a field of size {self.size} has no primitive {root_order}-th root of unity")
         self.root_order = root_order
 
-        # digit table: digits[c] = base-p coefficient vector of code c
+        # digit table: digits[c] = base-p coefficient vector of code c, in a
+        # dtype that holds the sum 2(p - 1) of two digits
         codes = np.arange(self.size, dtype=np.int64)
-        digits = np.empty((self.size, self.n), dtype=np.uint8)
+        digits = np.empty((self.size, self.n), dtype=np.min_scalar_type(2 * (p - 1)))
         for j in range(self.n):
             digits[:, j] = codes % p
             codes //= p
         self._digits = digits
-        self._powvec = (p ** np.arange(self.n, dtype=np.int64)).astype(np.int64)
+        self._powvec = p ** np.arange(self.n, dtype=np.int64)
 
         # canonical generator of K^*: smallest code of full multiplicative order
         prime_divs = _prime_factors(N) if N > 1 else []
@@ -265,24 +272,26 @@ class FieldSpec:
             raise InvariantError("multiplicative group has no generator")
         self.generator = gen
 
-        exp = np.empty(max(N, 1), dtype=np.int32)
-        exp[0] = 1
-        for i in range(1, N):
-            exp[i] = self._raw_mul(int(exp[i - 1]), gen)
+        # exp by doubling: exp[s:2s] = exp[:s] * gen^s.  Multiplication by
+        # gen^s is F_p-linear on digit vectors (row j of its matrix holds the
+        # digits of gen^s * x^j), and the matrix of gen^2s is its square.
+        step = digits[[self._raw_mul(gen, int(x)) for x in self._powvec]].astype(np.int64)
+        exp = np.ones(1, dtype=np.int32)
+        while len(exp) < N:
+            exp = np.concatenate([exp, self._from_digits(digits[exp] @ step % p)])
+            step = step @ step % p
+        exp = exp[:N]
         log = np.zeros(self.size, dtype=np.int64)
-        log[exp] = np.arange(max(N, 1))
+        log[exp] = np.arange(N)
         self._exp = exp
         self._log = log
 
-        neg = ((p - digits) % p).astype(np.int64) @ self._powvec
-        self._neg = neg.astype(np.int32)
+        self._neg = self._from_digits((p - digits) % p)
 
         if pair_tables is None:
             pair_tables = self.size <= _PAIR_TABLE_LIMIT
         if pair_tables:
-            d = digits.astype(np.int16)
-            add = ((d[:, None, :] + d[None, :, :]) % p).astype(np.int64)
-            self._add = (add @ self._powvec).astype(np.int32)
+            self._add = self._from_digits((digits[:, None, :] + digits[None, :, :]) % p)
             a = np.arange(self.size)
             lg = log[a]
             prod = exp[(lg[:, None] + lg[None, :]) % N] if N > 0 else np.ones((1, 1), np.int32)
@@ -328,6 +337,10 @@ class FieldSpec:
     def _raw_pow(self, a: int, e: int) -> int:
         return self._poly_to_code(
             _poly_powmod(self._code_to_poly(a), e, self.modulus, self.p))
+
+    def _from_digits(self, d) -> np.ndarray:
+        """Codes of base-p digit vectors (last axis), each digit in [0, p)."""
+        return (d @ self._powvec).astype(np.int32)
 
     # -- scalar arithmetic on codes ----------------------------------------
 
@@ -393,15 +406,6 @@ class FieldSpec:
         """Frobenius fixed-point test: a^(q^k) == a."""
         return self.pow_(a, self.q ** k) == a
 
-    def trace_code(self, a: int, k: int) -> int:
-        """Relative trace sum_{j<k} a^(q^j) of the degree-k extension of F_q."""
-        acc = 0
-        x = a
-        for _ in range(k):
-            acc = self.add(acc, x)
-            x = self.frob(x)
-        return acc
-
     def subfield_codes(self, k: int) -> np.ndarray:
         """Sorted codes of the degree-k extension of F_q inside K."""
         if self.tower_degree % k != 0:
@@ -421,9 +425,7 @@ class FieldSpec:
         B = np.asarray(B, dtype=np.int32)
         if self._add is not None:
             return self._add[A, B]
-        A, B = np.broadcast_arrays(A, B)
-        d = (self._digits[A].astype(np.int16) + self._digits[B]) % self.p
-        return (d.astype(np.int64) @ self._powvec).astype(np.int32)
+        return self._from_digits((self._digits[A] + self._digits[B]) % self.p)
 
     def vneg(self, A):
         return self._neg[np.asarray(A, dtype=np.int32)]
@@ -437,18 +439,47 @@ class FieldSpec:
         prod = self._exp[(self._log[A] + self._log[B]) % N].astype(np.int32)
         return np.where((A == 0) | (B == 0), 0, prod)
 
-    def vscale(self, s: int, A):
-        """Scalar multiple s * A for a single code s."""
+    def vpow(self, A, e):
+        """Powers A**e by log/exp; the integer exponent e may be an array
+        broadcast against A, and 0**0 = 1."""
         A = np.asarray(A, dtype=np.int32)
-        if s == 0:
-            return np.zeros_like(A)
-        if s == 1:
-            return A.copy()
-        if self._mul is not None:
-            return self._mul[s, A]
+        e = np.asarray(e, dtype=np.int64)
+        if ((A == 0) & (e < 0)).any():
+            raise ZeroDivisionError("zero has no multiplicative inverse")
         N = self.size - 1
-        out = self._exp[(int(self._log[s]) + self._log[A]) % N].astype(np.int32)
-        return np.where(A == 0, 0, out)
+        return np.where(A == 0, e == 0, self._exp[self._log[A] * (e % N) % N])
+
+    def vsum(self, A, axis: int = -1):
+        """Field sum of A along one axis: the digits summed mod p, so it
+        needs no pair tables."""
+        A = np.asarray(A, dtype=np.int32)
+        axis = np.lib.array_utils.normalize_axis_index(axis, A.ndim)
+        return self._from_digits(self._digits[A].sum(axis=axis, dtype=np.int64) % self.p)
+
+    def vdot(self, A, B):
+        """Matrix product over the field, with the shapes of numpy's matmul:
+        the vsum of the vmul products, taken in blocks of about 2^22 products
+        along the summed axis so that memory stays bounded."""
+        A = np.asarray(A, dtype=np.int32)
+        B = np.asarray(B, dtype=np.int32)
+        if A.ndim == 0 or B.ndim == 0:
+            raise ValueError("vdot operands need at least one axis")
+        a = A[None] if A.ndim == 1 else A
+        b = B[:, None] if B.ndim == 1 else B
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"vdot: inner dimensions {a.shape[-1]} and {b.shape[-2]} differ")
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        step = max(1, 2 ** 22 // max(1, math.prod(shape)))
+        out = functools.reduce(self.vadd, (
+            self.vsum(self.vmul(a[..., j:j + step, None], b[..., None, j:j + step, :]), axis=-2)
+            for j in range(0, max(a.shape[-1], 1), step)))
+        # drop the axis a 1-d operand gained
+        return out.reshape(out.shape[:-2] + out.shape[-2:-1] * (A.ndim > 1)
+                           + out.shape[-1:] * (B.ndim > 1))
+
+    def vtrace(self, A, k: int):
+        """Relative trace sum_{j<k} A^(q^j) of the degree-k extension of F_q."""
+        return self.vsum([self.vpow(A, self.q ** j) for j in range(k)], axis=0)
 
     def vin_subfield(self, A, k: int):
         A = np.asarray(A, dtype=np.int64)
@@ -466,9 +497,7 @@ class FieldSpec:
         base = self.subfield_codes(1)
         # every combination, the first coordinate varying slowest
         combos = np.stack(np.meshgrid(*[base] * k, indexing="ij"), axis=-1).reshape(-1, k)
-        values = np.zeros(len(combos), dtype=np.int32)
-        for j, b in enumerate(basis):
-            values = self.vadd(values, self.vmul(combos[:, j], int(b)))
+        values = self.vdot(combos, basis)
         table = np.full((self.size, k), -1, dtype=np.int32)
         table[values] = combos
         if np.count_nonzero(table[:, 0] >= 0) != len(values):
@@ -804,7 +833,7 @@ def subfield_trace(x: FieldElement, k: int) -> FieldElement:
     spec = x.spec
     if not spec.in_subfield(x.code, k):
         raise ValueError(f"element {x} is not in the degree-{k} extension of F_{spec.q}")
-    out = spec.trace_code(x.code, k)
+    out = int(spec.vtrace(x.code, k))
     if not spec.in_subfield(out, 1):
         raise InvariantError("trace value fell outside the base field")
     return FieldElement(spec, out)
@@ -896,12 +925,9 @@ class GroupAlgebraElement:
         if isinstance(other, FieldElement):
             return self.scale(other.code)
         self._check(other)
-        table = self.group.add_table
-        out = np.zeros(self.group.size, dtype=np.int32)
-        for i in np.nonzero(self.coeffs)[0]:
-            idx = table[i]
-            out[idx] = self.spec.vadd(out[idx], self.spec.vscale(int(self.coeffs[i]), other.coeffs))
-        return GroupAlgebraElement(self.group, self.spec, out)
+        # coefficient at h is the sum over g of self[g] * other[h - g]
+        shifted = other.coeffs[self.group.add_table[self.group.neg_table]]
+        return GroupAlgebraElement(self.group, self.spec, self.spec.vdot(self.coeffs, shifted))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -909,7 +935,7 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def scale(self, code: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.group, self.spec, self.spec.vscale(code, self.coeffs))
+        return GroupAlgebraElement(self.group, self.spec, self.spec.vmul(code, self.coeffs))
 
     def translate(self, g: GroupElement) -> "GroupAlgebraElement":
         """Multiplication by the monomial at g (a coefficient permutation)."""

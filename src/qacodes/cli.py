@@ -175,7 +175,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_distance(args) -> int:
     doc = _load_json(args.code)
-    if isinstance(doc, dict) and "constituents" in doc:
+    if isinstance(doc, dict) and "group" in doc:
         code = qa_from_descriptor(doc).flattened
     else:
         code = code_from_descriptor(doc)

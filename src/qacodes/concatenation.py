@@ -24,7 +24,8 @@ from .algebra import AbelianGroup, GroupAlgebraElement, GroupElement
 from .errors import InvariantError
 from .idempotents import SemisimpleDecomposition, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode, _json_ints,
-                           _json_rows, _json_value, embed_code, frobenius_twist, rank)
+                           _json_keys, _json_rows, _json_value, embed_code, frobenius_twist,
+                           rank)
 
 
 class QACode:
@@ -188,14 +189,10 @@ def constituents_of(code: LinearCode, group: AbelianGroup, *,
         raise ValueError("code is not closed under the group action (not quasi-abelian)")
     m = group.size
     ell = code.length // m
+    blocks = code.gens.reshape(code.dim, ell, m)
     out: dict[GroupElement, LinearCode] = {}
     for i, cls in enumerate(dec.classes):
-        rows = np.zeros((code.dim, ell), dtype=np.int32)
-        for r, gen in enumerate(code.gens):
-            blocks = gen.reshape(ell, m)
-            for j in range(ell):
-                rows[r, j] = dec.char_project(i, blocks[j])
-        outer = LinearCode(dec.spec.subfield(cls.size), ell, rows)
+        outer = LinearCode(dec.spec.subfield(cls.size), ell, dec.char_project(i, blocks))
         if outer.dim > 0:
             out[cls.rep] = outer
     return out
@@ -270,7 +267,7 @@ def simple_scheme(inner: LinearCode, outer: LinearCode) -> GCCScheme:
     spec = inner.field.spec
     k = inner.dim
     gen_code = next(c for c in spec.subfield_codes(k).tolist() if spec.exact_degree(c) == k)
-    basis = np.array([spec.pow_(gen_code, j) for j in range(k)], dtype=np.int32)
+    basis = spec.vpow(gen_code, np.arange(k))
     return GCCScheme([inner], [inner.gens.copy()], [basis], [outer])
 
 
@@ -302,23 +299,12 @@ def gcc_build(scheme: GCCScheme) -> LinearCode:
             raise ValueError("basis scalars are not a basis of the outer field")
         expansions.append(coords)
 
-    rows = []
-    for enc, basis, outer, coords in zip(scheme.encoders, scheme.basis_scalars,
-                                         scheme.outers, expansions):
-        for v in outer.gens:
-            for b in basis:
-                scaled = spec.vscale(int(b), v)
-                row = np.zeros(n * N, dtype=np.int32)
-                for j in range(N):
-                    combo = coords[int(scaled[j])]
-                    block = row[j * n:(j + 1) * n]
-                    for c_u, enc_row in zip(combo, enc):
-                        if c_u:
-                            block[:] = spec.vadd(block, spec.vscale(int(c_u), enc_row))
-                rows.append(row)
-    gens = (np.array(rows, dtype=np.int32) if rows
-            else np.zeros((0, n * N), dtype=np.int32))
-    code = LinearCode(spec.subfield(1), n * N, gens)
+    # row (v, b): block j is the encoder image of the coordinates of b * v_j
+    rows = [spec.vdot(coords[spec.vmul(outer.gens[:, None, :], np.asarray(basis)[:, None])],
+                      enc).reshape(-1, n * N)
+            for enc, basis, outer, coords in zip(scheme.encoders, scheme.basis_scalars,
+                                                 scheme.outers, expansions)]
+    code = LinearCode(spec.subfield(1), n * N, np.vstack(rows))
     expected = sum(a.dim * c.dim for a, c in zip(scheme.inners, scheme.outers))
     if code.dim != expected:
         raise InvariantError(
@@ -419,8 +405,11 @@ def qa_to_descriptor(qa: QACode) -> dict:
 
 
 def qa_from_descriptor(obj: dict) -> QACode:
+    """Rebuild a quasi-abelian code from its JSON form: the keys
+    qa_to_descriptor writes, of which only "modulus" may be left out."""
     if not isinstance(obj, dict):
         raise ValueError("descriptor must be a JSON object")
+    _json_keys(obj, ("q", "group", "index", "constituents"), ("modulus",))
     group = AbelianGroup(_json_ints(obj["group"], "group"))
     q = _json_value(obj["q"], int, "q")
     index = _json_value(obj["index"], int, "index")
@@ -428,8 +417,9 @@ def qa_from_descriptor(obj: dict) -> QACode:
     dec = decompose_algebra(group, q, modulus=modulus)
     spec = dec.spec
     assignment: dict = {}
-    for entry in _json_value(obj.get("constituents", []), list, "constituents"):
+    for entry in _json_value(obj["constituents"], list, "constituents"):
         _json_value(entry, dict, "constituent")
+        _json_keys(entry, ("class_member", "generators"), what="descriptor constituent")
         member = tuple(_json_ints(entry["class_member"], "class_member"))
         i, _ = _class_position(dec, member)
         k_i = dec.classes[i].size

@@ -140,14 +140,13 @@ class SemisimpleDecomposition:
             if gen_code is None:
                 raise InvariantError(
                     f"no character value of full degree {k} for class of {cls.rep.coords}")
-            basis = np.array([spec.pow_(gen_code, j) for j in range(k)], dtype=np.int32)
+            basis = spec.vpow(gen_code, np.arange(k))
             coords = spec.basis_coordinates(basis)
             if coords is None:
                 raise InvariantError(
                     f"power basis for class of {cls.rep.coords} is not a basis")
             coords.setflags(write=False)
-            psi_rows = np.array([self._lift_by_trace(i, int(b)) for b in basis],
-                                dtype=np.int32)
+            psi_rows = self._lift_by_trace(i, basis)
             self._subfield_gen.append(gen_code)
             self._power_basis.append(basis)
             self._coords.append(coords)
@@ -186,15 +185,11 @@ class SemisimpleDecomposition:
 
     # -- the two identification maps ------------------------------------------
 
-    def char_project(self, i: int, coeffs: np.ndarray) -> int:
-        """Character sum of a coefficient vector against class i; equals the
-        field image of (that element) * e_i."""
-        spec = self.spec
-        prods = spec.vmul(coeffs, self._chi_row[i])
-        acc = 0
-        for v in prods:
-            acc = spec.add(acc, int(v))
-        return acc
+    def char_project(self, i: int, coeffs) -> np.ndarray:
+        """Character sums against class i of coefficient vectors (last axis)
+        in an array of any leading shape; each equals the field image of
+        (that element) * e_i."""
+        return self.spec.vdot(coeffs, self._chi_row[i])
 
     def project(self, i: int, r: GroupAlgebraElement) -> FieldElement:
         """Field image of an element of the i-th minimal ideal."""
@@ -202,17 +197,14 @@ class SemisimpleDecomposition:
             raise ValueError("element does not live in this group algebra")
         if r * self.idempotents[i] != r:
             raise ValueError(f"element is not in the minimal ideal of class {i}")
-        return FieldElement(self.spec, self.char_project(i, r.coeffs))
+        return FieldElement(self.spec, int(self.char_project(i, r.coeffs)))
 
-    def _lift_by_trace(self, i: int, code: int) -> np.ndarray:
-        """Ideal coefficients of a class-field element, via the trace formula:
-        coefficient at k is (1/|H|) Tr(delta * chi_i(-k))."""
+    def _lift_by_trace(self, i: int, codes: np.ndarray) -> np.ndarray:
+        """Ideal coefficients of class-field codes, one row each, via the
+        trace formula: coefficient at h is (1/|H|) Tr(delta * chi_i(-h))."""
         spec = self.spec
-        k_i = self.classes[i].size
-        out = np.zeros(self.group.size, dtype=np.int32)
-        for j in range(self.group.size):
-            t = spec.trace_code(spec.mul(code, int(self._chi_neg_row[i][j])), k_i)
-            out[j] = spec.mul(self._inv_m, t)
+        prods = spec.vmul(codes[:, None], self._chi_neg_row[i])
+        out = spec.vmul(self._inv_m, spec.vtrace(prods, self.classes[i].size))
         if not spec.vin_subfield(out, 1).all():
             raise InvariantError("lift produced coefficients outside the base field")
         return out
@@ -221,23 +213,13 @@ class SemisimpleDecomposition:
         """Ideal element whose field image is delta (inverse of project)."""
         if not delta.spec.same_presentation(self.spec):
             raise ValueError("field element from a different presentation")
-        k_i = self.classes[i].size
-        if not self.spec.in_subfield(delta.code, k_i):
-            raise ValueError(f"element is not in the degree-{k_i} class field")
-        return GroupAlgebraElement(self.group, self.spec,
-                                   self.lift_vector(i, [delta.code])[0])
+        return GroupAlgebraElement(self.group, self.spec, self.lift_vector(i, delta.code))
 
     def lift_vector(self, i: int, codes) -> np.ndarray:
         """Ideal coefficients of class-field codes in an array of any shape,
         on one more axis of length |H|: the psi rows combined by power-basis
         coordinates."""
-        spec = self.spec
-        coords = self.coords_in_power_basis(i, codes)[..., None]
-        psi = self._psi_matrix[i]
-        out = spec.vmul(coords[..., 0, :], psi[0])
-        for u in range(1, len(psi)):
-            out = spec.vadd(out, spec.vmul(coords[..., u, :], psi[u]))
-        return out
+        return self.spec.vdot(self.coords_in_power_basis(i, codes), self._psi_matrix[i])
 
     def flatten(self, i: int, gens) -> np.ndarray:
         """Base-field rows lift(b * v) for each row v of `gens` (a code over
@@ -289,10 +271,9 @@ class SemisimpleDecomposition:
                 ("ideal rank = class size", where,
                  rank(spec.subfield(1), self._psi_matrix[i]) == cls.size),
                 ("lift(1) = e_i", where, self.lift(i, spec.one) == e),
-                ("project(e_i) = 1", where, self.char_project(i, e.coeffs) == 1),
+                ("project(e_i) = 1", where, int(self.char_project(i, e.coeffs)) == 1),
                 ("project(lift(b)) = b on the power basis", where,
-                 [self.char_project(i, r) for r in self.lift_vector(i, basis)]
-                 == basis.tolist()),
+                 np.array_equal(self.char_project(i, self.lift_vector(i, basis)), basis)),
             ]
         for identity, where, holds in results:
             if not holds:

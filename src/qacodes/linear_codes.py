@@ -87,10 +87,12 @@ def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int]]:
             R[[pr, piv]] = R[[piv, pr]]
         lead = int(R[pr, col])
         if lead != 1:
-            R[pr] = spec.vscale(spec.inv(lead), R[pr])
-        for r in range(rows):
-            if r != pr and R[r, col]:
-                R[r] = spec.vadd(R[r], spec.vscale(spec.neg(int(R[r, col])), R[pr]))
+            R[pr] = spec.vmul(spec.inv(lead), R[pr])
+        # the other rows with an entry in `col` lose that multiple of the pivot row
+        others = np.flatnonzero(R[:, col])
+        others = others[others != pr]
+        if others.size:
+            R[others] = spec.vadd(R[others], spec.vmul(spec.vneg(R[others, col])[:, None], R[pr]))
         pivots.append(col)
         pr += 1
         if pr == rows:
@@ -108,7 +110,7 @@ def reduce_vector(field: Subfield, R: np.ndarray, pivots: Sequence[int], v) -> n
     out = np.array(v, dtype=np.int32, copy=True)
     for r, c in enumerate(pivots):
         if out[c]:
-            out = spec.vadd(out, spec.vscale(spec.neg(int(out[c])), R[r]))
+            out = spec.vadd(out, spec.vmul(spec.neg(int(out[c])), R[r]))
     return out
 
 
@@ -322,29 +324,16 @@ class LinearCode:
         n = self.length
         free = [c for c in range(n) if c not in self.pivots]
         H = np.zeros((len(free), n), dtype=np.int32)
-        for i, f in enumerate(free):
-            H[i, f] = 1
-            for r, pc in enumerate(self.pivots):
-                H[i, pc] = spec.neg(int(self.gens[r, f]))
+        H[range(len(free)), free] = 1
+        H[:, list(self.pivots)] = spec.vneg(self.gens[:, free].T)
         out = LinearCode(self.field, n, H)
-        for hrow in out.gens:
-            for grow in self.gens:
-                acc = 0
-                for c in range(n):
-                    acc = spec.add(acc, spec.mul(int(grow[c]), int(hrow[c])))
-                if acc:
-                    raise InvariantError("dual construction is not orthogonal")
+        if spec.vdot(out.gens, self.gens.T).any():
+            raise InvariantError("dual construction is not orthogonal")
         return out
 
     def gram_matrix(self) -> np.ndarray:
         """G * G^T over the field."""
-        spec = self.field.spec
-        k = self.dim
-        out = np.zeros((k, k), dtype=np.int32)
-        for c in range(self.length):
-            col = self.gens[:, c]
-            out = spec.vadd(out, spec.vmul(col[:, None], col[None, :]))
-        return out
+        return self.field.spec.vdot(self.gens, self.gens.T)
 
     def hull_dimension(self) -> int:
         """Dimension of the intersection with the dual; 0 means the code is
@@ -448,7 +437,7 @@ def frobenius_twist(code: LinearCode, times: int = 1) -> LinearCode:
     t = times % code.field.degree
     if t == 0:
         return code
-    table = np.array([spec.frob(c, t) for c in range(spec.size)], dtype=np.int32)
+    table = spec.vpow(np.arange(spec.size), spec.q ** t)
     return LinearCode(code.field, code.length, table[code.gens])
 
 
@@ -473,22 +462,12 @@ def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
     if dst.n % src.n != 0:
         raise ValueError(
             f"no embedding of a degree-{src.n} field into a degree-{dst.n} field")
-    root = None
-    for c in range(dst.size):
-        acc = 0
-        for coeff in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, c), coeff % dst.p)
-        if acc == 0:
-            root = c
-            break
-    if root is None:
+    # prime-field digits and coefficients are their own codes in any presentation
+    powers = dst.vpow(np.arange(dst.size)[:, None], np.arange(src.n + 1))
+    roots = np.flatnonzero(dst.vdot(powers, src.modulus) == 0)
+    if not len(roots):
         raise InvariantError("source modulus has no root in the target field")
-    table = np.empty(src.size, dtype=np.int32)
-    for a in range(src.size):
-        acc = 0
-        for coeff in reversed(src._digits[a].tolist()):
-            acc = dst.add(dst.mul(acc, root), int(coeff))
-        table[a] = acc
+    table = dst.vdot(src._digits, powers[roots[0], :src.n])
     return LinearCode(target, code.length, table[code.gens])
 
 
@@ -521,6 +500,18 @@ def _json_ints(value, what: str) -> list[int]:
     return [_json_value(c, int, f"{what} entry") for c in _json_value(value, list, what)]
 
 
+def _json_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...] = (),
+               what: str = "descriptor") -> None:
+    """Reject a JSON object that lacks a required key or holds a key outside
+    required + optional, naming the first such key."""
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks required key {missing[0]!r}")
+
+
 def _json_rows(value) -> list[list[str]]:
     rows = _json_value(value, list, "generators")
     for row in rows:
@@ -532,15 +523,16 @@ def _json_rows(value) -> list[list[str]]:
 def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode:
     """Rebuild a code from its JSON form.
 
-    If no ambient field is supplied, one is derived from the descriptor's
-    "q"/"modulus" keys (written by code_to_descriptor) or, failing that, from
-    the element string widths.
+    The keys are those code_to_descriptor writes; only "modulus" may be
+    left out.  If no ambient field is supplied, one is derived from the
+    "q"/"modulus" keys or, without "modulus", from the element string widths.
     """
     if not isinstance(obj, dict):
         raise ValueError("descriptor must be a JSON object")
+    _json_keys(obj, ("q", "field_degree", "length", "generators"), ("modulus",))
     degree = _json_value(obj["field_degree"], int, "field_degree")
     length = _json_value(obj["length"], int, "length")
-    gens = _json_rows(obj.get("generators", []))
+    gens = _json_rows(obj["generators"])
     if spec is None:
         q = _json_value(obj["q"], int, "q")
         p, b = prime_power(q)

@@ -1,5 +1,6 @@
 """Field, group, character and group-algebra arithmetic."""
 
+import functools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from qacodes.algebra import (AbelianGroup, FieldSpec, GroupAlgebraElement,
                              build_tower, character, default_modulus,
                              is_irreducible, multiplicative_order, prime_power,
                              subfield_trace)
+from qacodes.diagnostics import field_axiom_checks
 
 def test_prime_power():
     assert prime_power(2) == (2, 1)
@@ -100,7 +102,113 @@ def test_pair_table_and_fallback_paths_agree():
     A = np.arange(16, dtype=np.int32)
     assert np.array_equal(fast.vadd(A, A[::-1]), slow.vadd(A, A[::-1]))
     assert np.array_equal(fast.vmul(A, A[::-1]), slow.vmul(A, A[::-1]))
-    assert np.array_equal(fast.vscale(7, A), slow.vscale(7, A))
+    assert np.array_equal(fast.vmul(7, A), slow.vmul(7, A))
+    M = A.reshape(4, 4)
+    assert np.array_equal(fast.vdot(M, M[::-1]), slow.vdot(M, M[::-1]))
+    assert np.array_equal(fast.vsum(M, 0), slow.vsum(M, 0))
+
+
+# scalar references for the array primitives: loops over add, mul and pow_
+def _ref_sum(spec, values):
+    return functools.reduce(spec.add, (int(v) for v in values), 0)
+
+
+def _ref_pow(spec, A, e):
+    A, e = np.broadcast_arrays(A, e)
+    return np.array([spec.pow_(int(a), int(x)) for a, x in zip(A.ravel(), e.ravel())],
+                    dtype=np.int32).reshape(A.shape)
+
+
+def _ref_trace(spec, A, k):
+    return np.array([_ref_sum(spec, [spec.pow_(int(a), spec.q ** j) for j in range(k)])
+                     for a in A.ravel()], dtype=np.int32).reshape(A.shape)
+
+
+def _ref_dot(spec, A, B):
+    """Matmul shapes: a 1-d operand gains an axis that the result drops."""
+    a = A[None] if A.ndim == 1 else A
+    b = B[:, None] if B.ndim == 1 else B
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    b = np.broadcast_to(b, batch + b.shape[-2:])
+    out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.int32)
+    for idx in np.ndindex(out.shape):
+        row, col = a[idx[:-1]], b[idx[:-2] + (slice(None), idx[-1])]
+        out[idx] = _ref_sum(spec, [spec.mul(int(x), int(y)) for x, y in zip(row, col)])
+    if B.ndim == 1:
+        out = out[..., 0]
+    if A.ndim == 1:
+        out = out[..., 0, :] if B.ndim > 1 else out[..., 0]
+    return out
+
+
+# (field, the codes operands are drawn from, trace degree)
+_PRIMITIVE_CASES = {
+    "F16-tables": (FieldSpec(2, 4, pair_tables=True), None, 4),
+    "F16-digits": (FieldSpec(2, 4, pair_tables=False), None, 4),
+    "F81": (FieldSpec(3, 4), None, 4),
+    "F2048": (FieldSpec(2, 11), None, 11),
+    "F121": (FieldSpec(11, 2), None, 2),
+    "F16-in-F256-over-F4": (FieldSpec(4, 4), 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRIMITIVE_CASES))
+def test_array_primitives_match_scalar_loops(case):
+    spec, subfield, k = _PRIMITIVE_CASES[case]
+    pool = spec.subfield_codes(subfield) if subfield else np.arange(spec.size)
+    rng = np.random.default_rng(len(case) * 1000 + spec.size)
+
+    def draw(*shape):
+        return pool[rng.integers(len(pool), size=shape)].astype(np.int32)
+
+    operands = [draw(), draw(5), draw(3, 4), draw(2, 3, 4)]
+    operands[1][0] = 0  # zero takes the special branch of every primitive
+    for A in operands:
+        for e in (0, 1, 2, spec.q, spec.size, 7 * spec.size - 3):
+            assert np.array_equal(spec.vpow(A, e), _ref_pow(spec, A, e))
+        exps = rng.integers(0, 3 * spec.size, size=A.shape[-1:] if A.ndim else ())
+        assert np.array_equal(spec.vpow(A, exps), _ref_pow(spec, A, exps))
+        assert np.array_equal(spec.vtrace(A, k), _ref_trace(spec, A, k))
+        for axis in range(-A.ndim, A.ndim):
+            want = np.apply_along_axis(lambda v: _ref_sum(spec, v), axis, A)
+            assert np.array_equal(spec.vsum(A, axis), want)
+    nonzero = operands[3][operands[3] != 0]
+    assert np.array_equal(spec.vpow(nonzero, -1), [spec.inv(int(a)) for a in nonzero])
+    with pytest.raises(ZeroDivisionError):
+        spec.vpow(operands[1], -1)
+    assert spec.vsum(np.zeros((3, 0), dtype=np.int32)).tolist() == [0, 0, 0]
+    with pytest.raises(np.exceptions.AxisError):
+        spec.vsum(operands[0])
+
+    v, w, M, T = draw(4), draw(4), draw(3, 4), draw(2, 4, 3)
+    for A, B in [(v, w), (v, M.T), (M, w), (M, M.T), (T, M), (T, T.transpose(0, 2, 1)),
+                 (M[None], T), (draw(4, 0), draw(0, 3))]:
+        got, want = spec.vdot(A, B), _ref_dot(spec, A, B)
+        assert got.shape == want.shape == np.matmul(A, B).shape
+        assert np.array_equal(got, want)
+    for A, B in [(operands[0], v), (v, operands[0]), (M, M), (draw(3, 1), draw(4, 2))]:
+        with pytest.raises(ValueError):
+            spec.vdot(A, B)
+
+
+@pytest.mark.parametrize("q,t", [(2, 4), (3, 4), (2, 11), (11, 2), (257, 2)])
+def test_exp_table_is_the_power_chain_of_the_generator(q, t):
+    spec = FieldSpec(q, t, pair_tables=False)
+    for i in range(0, spec.size - 1, max(1, (spec.size - 1) // 3000)):
+        assert spec._exp[i] == spec._raw_pow(spec.generator, i)
+    assert sorted(spec._exp.tolist()) == list(range(1, spec.size))
+    assert (spec._exp[spec._log[1:]] == np.arange(1, spec.size)).all()
+
+
+@pytest.mark.parametrize("q,t", [(257, 1), (257, 2)])
+def test_fields_past_byte_sized_digits(q, t):
+    # a digit sum 2(p - 1) no longer fits in a byte
+    spec = FieldSpec(q, t)
+    assert all(ok for _, ok, _ in field_axiom_checks(spec, random.Random(q * t)))
+    A = np.arange(spec.size)
+    assert not spec.vadd(spec.vneg(A), A).any()
+    assert spec.vsum(np.ones(spec.p, dtype=np.int32)) == 0  # p copies of 1
 
 
 def test_subfield_membership():

@@ -1,11 +1,14 @@
 """Command-line surface: outputs, exit codes, and round trips."""
 
 import json
+import random
 
 import pytest
 
+from qacodes import reference
 from qacodes.cli import main
 from qacodes.concatenation import qa_to_descriptor
+from qacodes.linear_codes import code_to_descriptor
 from qacodes.reference import qa_27_6_12
 
 
@@ -38,6 +41,12 @@ def test_classes_json_and_banner(capsys):
     assert doc["field_degrees"] == [1, 4, 4, 4, 4, 4, 4]
     code, out, _ = run(capsys, "classes", "--q", "2", "--group", "3,3")
     assert out.splitlines()[0].startswith("qacodes ")
+
+
+def test_classes_past_byte_sized_digits(capsys):
+    code, out, _ = run(capsys, "--no-banner", "classes", "--q", "257", "--group", "2")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "field degrees over F_257: 1 1"
 
 
 def test_output_is_deterministic(capsys):
@@ -204,3 +213,55 @@ def test_mistyped_descriptor_exits_2(capsys, tmp_path, doc):
     code, out, err = run(capsys, "--no-banner", "construct", "--code", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# one value of each JSON type; every one is small, so a mistyped key is
+# malformed input and never a resource limit
+_JSON_VALUES = [None, True, 3, 1.5, "x", [1], {"k": 1}]
+
+
+def _key_mutations(doc: dict, rng: random.Random):
+    """Each key of `doc` dropped (all but the optional "modulus"), renamed
+    twice and given a value of another JSON type: (label, mutated copy, what
+    the reader's one error line must contain)."""
+    for key, value in doc.items():
+        if key != "modulus":
+            yield (f"drop {key}", {k: v for k, v in doc.items() if k != key},
+                   f"lacks required key {key!r}")
+        at = rng.randrange(len(key) + 1)
+        for new in (key[:-1], key[:at] + rng.choice("aqsxz_") + key[at:]):
+            if new not in doc:
+                yield (f"rename {key} {new}",
+                       {(new if k == key else k): v for k, v in doc.items()},
+                       f"has unknown key {new!r}")
+        other = rng.choice([v for v in _JSON_VALUES if type(v) is not type(value)])
+        yield f"retype {key}", {**doc, key: other}, f"{key} must be"
+
+
+@pytest.mark.parametrize("name", ["qa_27_6_12", "qa_36_6_16", "qa_50_12_18"])
+def test_descriptor_key_fuzz_exits_2(capsys, tmp_path, name):
+    rng = random.Random(name)
+    qa = getattr(reference, name)()
+    qa_doc = qa_to_descriptor(qa)
+    cases = [(True, *m) for m in _key_mutations(qa_doc, rng)]
+    for e, entry in enumerate(qa_doc["constituents"]):
+        for label, mutated, fragment in _key_mutations(entry, rng):
+            entries = [mutated if j == e else c for j, c in enumerate(qa_doc["constituents"])]
+            cases.append((True, f"constituent {e}: {label}",
+                          {**qa_doc, "constituents": entries}, fragment))
+    cases += [(False, *m) for m in _key_mutations(code_to_descriptor(qa.flattened), rng)]
+    path = tmp_path / "doc.json"
+    for is_qa_doc, label, doc, fragment in cases:
+        path.write_text(json.dumps(doc))
+        for command in ("construct", "distance"):
+            code, out, err = run(capsys, "--no-banner", command, "--code", str(path))
+            assert code == 2 and out == "", (command, label)
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), (command, label)
+            # `distance` reads a document with a "group" key as a QA code
+            if (command == "construct" or "group" in doc) == is_qa_doc:
+                assert fragment in err, (command, label, err)
+    # "modulus" alone is optional: without it the default presentation is read
+    for doc in (qa_doc, code_to_descriptor(qa.flattened)):
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != "modulus"}))
+        code, out, _ = run(capsys, "--no-banner", "distance", "--code", str(path))
+        assert code == 0 and int(out) == qa.params().distance

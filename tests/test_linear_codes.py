@@ -46,9 +46,9 @@ def test_rref_canonical():
         m = base.copy()
         r = rng.randrange(2)
         s = rng.randrange(1, 3)
-        m[r] = spec3.vadd(m[r], spec3.vscale(s, m[1 - r]))
+        m[r] = spec3.vadd(m[r], spec3.vmul(s, m[1 - r]))
         s2 = rng.randrange(1, 3)
-        m[r] = spec3.vscale(s2, m[r])
+        m[r] = spec3.vmul(s2, m[r])
         assert rref_canonicalize(F3, m) == c0
     # zero matrix gives the zero code
     z = rref_canonicalize(F2, np.zeros((2, 4), dtype=int))
@@ -80,7 +80,7 @@ def _naive_span_weights(code):
         w = np.zeros(code.length, dtype=np.int32)
         for c, row in zip(msg, code.gens):
             if c:
-                w = spec.vadd(w, spec.vscale(int(c), row))
+                w = spec.vadd(w, spec.vmul(int(c), row))
         wt = int(np.count_nonzero(w))
         counts[wt] = counts.get(wt, 0) + 1
     return [counts.get(i, 0) for i in range(code.length + 1)]
