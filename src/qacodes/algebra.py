@@ -450,10 +450,12 @@ class FieldSpec:
         return np.where(A == 0, e == 0, self._exp[self._log[A] * (e % N) % N])
 
     def vsum(self, A, axis: int = -1):
-        """Field sum of A along one axis: the digits summed mod p, so it
-        needs no pair tables."""
+        """Field sum of A along one axis: the digits summed mod p (for p = 2,
+        the XOR of the codes), so it needs no pair tables."""
         A = np.asarray(A, dtype=np.int32)
         axis = np.lib.array_utils.normalize_axis_index(axis, A.ndim)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(A, axis=axis)  # the codes are bit vectors
         return self._from_digits(self._digits[A].sum(axis=axis, dtype=np.int64) % self.p)
 
     def vdot(self, A, B):
@@ -651,9 +653,6 @@ class Subfield:
     @property
     def elements(self) -> np.ndarray:
         return self.spec.subfield_codes(self.degree)
-
-    def contains_code(self, code: int) -> bool:
-        return self.spec.in_subfield(code, self.degree)
 
     def __eq__(self, other):
         return (isinstance(other, Subfield)

@@ -16,12 +16,12 @@ import json
 import sys
 
 from . import __version__
-from .algebra import AbelianGroup, modulus_str
+from .algebra import AbelianGroup, modulus_str, prime_power
 from .concatenation import (constituents_of, distance_bound, qa_from_descriptor,
                             qa_to_descriptor)
 from .errors import CapExceededError, InvariantError
 from .families import FamilySpec, builtin_lcd_outers, family_report
-from .idempotents import decompose_algebra
+from .idempotents import cyclotomic_classes, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP,
                            code_from_descriptor, code_to_descriptor)
 from .reference import run_reference_suite
@@ -64,7 +64,10 @@ def _banner(args) -> None:
 
 def _cmd_classes(args) -> int:
     group = _parse_group(args.group)
-    dec = decompose_algebra(group, args.q)
+    # the field degrees are the class sizes, so no splitting field is built
+    classes = cyclotomic_classes(group, args.q)
+    prime_power(args.q)
+    degrees = [c.size for c in classes]
     _banner(args)
     if args.json:
         _emit_json({
@@ -73,15 +76,15 @@ def _cmd_classes(args) -> int:
             "classes": [{"rep": list(c.rep.coords),
                          "size": c.size,
                          "members": [list(m.coords) for m in c.members]}
-                        for c in dec.classes],
-            "field_degrees": dec.field_degrees,
+                        for c in classes],
+            "field_degrees": degrees,
         })
         return 0
-    for c in dec.classes:
+    for c in classes:
         members = ",".join(str(list(m.coords)).replace(" ", "") for m in c.members)
         print(f"rep={str(list(c.rep.coords)).replace(' ', '')} size={c.size} "
               f"members=[{members}]")
-    print("field degrees over F_%d: %s" % (args.q, " ".join(map(str, dec.field_degrees))))
+    print("field degrees over F_%d: %s" % (args.q, " ".join(map(str, degrees))))
     return 0
 
 

@@ -162,14 +162,10 @@ def is_qa(code: LinearCode, group: AbelianGroup) -> bool:
             f"length {code.length} is not a multiple of the group order {group.size}")
     ell = code.length // group.size
     m = group.size
-    add, neg = group.add_table, group.neg_table
-    for h in range(1, m):
-        perm = add[neg[h]]
-        full_perm = np.concatenate([perm + j * m for j in range(ell)])
-        for row in code.gens:
-            if not code.contains(row[full_perm]):
-                return False
-    return True
+    # row h - 1: the coordinate permutation of translation by h, for h != 0
+    perms = group.add_table[group.neg_table[1:]]
+    full = (perms[:, None, :] + m * np.arange(ell)[:, None]).reshape(m - 1, code.length)
+    return code.contains(code.gens[:, full].reshape(-1, code.length))
 
 
 def constituents_of(code: LinearCode, group: AbelianGroup, *,
@@ -246,7 +242,7 @@ class GCCScheme:
                 raise ValueError(f"slot {i}: encoder must be a {k} x {n} matrix")
             if len(basis) != k:
                 raise ValueError(f"slot {i}: need {k} basis scalars")
-            if rank(field, enc) != k or any(not inner.contains(row) for row in enc):
+            if rank(field, enc) != k or not inner.contains(enc):
                 raise ValueError(f"slot {i}: encoder rows must be a basis of the inner code")
         stacked = np.vstack([a.gens for a in self.inners])
         if rank(field, stacked) != sum(a.dim for a in self.inners):

@@ -2,13 +2,15 @@
 
 Generator matrices are held in reduced row echelon form, which makes them a
 canonical representative of the row space: two codes are equal iff their
-matrices are identical.  Minimum distance and weight distribution are found
-by full message-space enumeration, guarded by a cap; no cleverer distance
-algorithm is attempted.  Codewords are enumerated as packed words
-(`WordLayout`): the span of the last generator rows is built once by
-broadcast field sums, every prefix of the remaining rows is added to it, and
-weights are popcounts, in blocks of at most 2^16 codewords.  The search
-weighs its direct sums with the same layout.
+matrices are identical, and a vector lies in the code iff it equals its
+pivot entries times the generators (`contains` tests a stack at once).
+Minimum distance and weight distribution are found by full message-space
+enumeration, guarded by a cap; no cleverer distance algorithm is attempted.
+`WordLayout` is the one weigher: `span` packs every combination of some
+rows, and `distributions` adds a base span to each span of a stack and
+counts popcount weights, in blocks of at most 2^16 codewords.  A code is
+weighed as the span of its first generator rows plus the span of its last
+rows; the search weighs its direct sums the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -104,16 +106,6 @@ def rank(field: Subfield, matrix) -> int:
     return len(rref(field, matrix)[1])
 
 
-def reduce_vector(field: Subfield, R: np.ndarray, pivots: Sequence[int], v) -> np.ndarray:
-    """Residual of v after elimination against an RREF matrix."""
-    spec = field.spec
-    out = np.array(v, dtype=np.int32, copy=True)
-    for r, c in enumerate(pivots):
-        if out[c]:
-            out = spec.vadd(out, spec.vmul(spec.neg(int(out[c])), R[r]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # packed codewords
 
@@ -131,16 +123,20 @@ class WordLayout:
     """
 
     def __init__(self, field: Subfield, length: int):
+        self.field = field
+        self.length = length
         spec = field.spec
         p = self.p = spec.p
-        self.places = p ** np.flatnonzero(spec._digits[field.elements].any(axis=0))
+        used = np.flatnonzero(spec._digits[field.elements].any(axis=0))  # digit places
         w = 1 if p == 2 else (2 * p - 2).bit_length()
-        g = len(self.places) * w
+        g = len(used) * w
         per_word = 64 // g
         self.words = -(-length // per_word)
-        # bit offset of digit k of the c-th coordinate of a word: c*g + k*w
-        self.shifts = (np.arange(per_word)[:, None] * g
-                       + np.arange(len(self.places)) * w).astype(np.uint64)
+        # bits[c]: element code c as one coordinate, its k-th used digit at bit k*w
+        self.bits = (spec._digits[:, used].astype(np.uint64)
+                     << (np.arange(len(used)) * w).astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+        # bit offset of the c-th coordinate of a word
+        self.shifts = (np.arange(per_word) * g).astype(np.uint64)
         low = ((1 << (g * per_word)) - 1) // ((1 << g) - 1)  # bit 0 of each coordinate
         ones = low * (((1 << g) - 1) // ((1 << w) - 1))  # bit 0 of each digit
         self.low = np.uint64(low)
@@ -157,13 +153,14 @@ class WordLayout:
             self.folds.append(g - covered)
 
     def pack(self, codes: np.ndarray) -> np.ndarray:
-        """Packed words of rows of element codes (last axis: the coordinates)."""
+        """Packed words of rows of element codes (last axis: the coordinates):
+        each code's `bits`, shifted to its coordinate's place in a word."""
         per_word = len(self.shifts)
         lead = codes.shape[:-1]
-        padded = np.zeros(lead + (self.words * per_word,), dtype=np.int64)
-        padded[..., :codes.shape[-1]] = codes
-        digits = padded.reshape(lead + (self.words, per_word, 1)) // self.places % self.p
-        return (digits.astype(np.uint64) << self.shifts).sum(axis=(-2, -1), dtype=np.uint64)
+        padded = np.zeros(lead + (self.words * per_word,), dtype=np.uint64)
+        padded[..., :codes.shape[-1]] = self.bits[codes]
+        return (padded.reshape(lead + (self.words, per_word)) << self.shifts).sum(
+            axis=-1, dtype=np.uint64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Field sum of packed words, broadcast; a new array."""
@@ -206,6 +203,47 @@ class WordLayout:
         for s in spans[-2::-1]:
             out = self.add(s[:, None, :], out[None, :, :]).reshape(-1, self.words)
         return out
+
+    def span(self, rows) -> np.ndarray:
+        """Every combination of `rows` (element codes) over the layout's
+        field, packed: the zero word first, the first row varying slowest.
+        No rows span the zero word alone."""
+        if not len(rows):
+            return np.zeros((1, self.words), dtype=np.uint64)
+        rows = np.asarray(rows, dtype=np.int32)
+        # the field multiples of each row: lines[r][c] = c-th element * row r
+        lines = self.field.spec.vmul(self.field.elements[:, None], rows[:, None, :])
+        return self.sum_span(self.pack(lines))
+
+    def distributions(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
+        """Weight distributions of base + spans[j], one row per j.
+
+        The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
+        codewords, read at each call.  Both spans start with the zero word
+        and their generators must be independent, so exactly one sum may
+        have weight 0.
+        """
+        n1 = self.length + 1
+        m, size, _ = spans.shape
+        block = _BLOCK_CODEWORDS
+        step_m = max(1, block // (len(base) * size))
+        step_b = max(1, block // size)
+        step_s = min(size, block)
+        out = np.zeros(m * n1, dtype=np.int64)  # row j: out[j * (n + 1):(j + 1) * (n + 1)]
+        for j in range(0, m, step_m):
+            part = spans[j:j + step_m, None]
+            rows = len(part)
+            for b in range(0, len(base), step_b):
+                for s in range(0, size, step_s):
+                    # no name holds the sums, so they are freed before the next block
+                    w = self.weights(self.add(base[None, b:b + step_b, None, :],
+                                              part[:, :, s:s + step_s, :]))
+                    if rows > 1:  # bincount keys: weight + (n + 1) * row
+                        w += n1 * np.arange(rows)[:, None, None]
+                    out[j * n1:(j + rows) * n1] += np.bincount(w.ravel(), minlength=rows * n1)
+        if out[::n1].tolist() != [1] * m:
+            raise InvariantError("direct sum generators are not independent")
+        return out.reshape(m, n1)
 
 
 @lru_cache(maxsize=64)
@@ -257,64 +295,39 @@ class LinearCode:
     def codeword_count(self) -> int:
         return self.field.size ** self.dim
 
-    # -- enumeration kernel ----------------------------------------------------
+    # -- enumeration ----------------------------------------------------------
 
-    def _message_weights(self, cap: int) -> Iterator[np.ndarray]:
-        """Hamming weights of the codewords, in blocks covering the message
-        space exactly once, in lexicographic message order over the field's
-        element ordering (so message 0 comes first)."""
-        n = self.length
+    def _distribution(self, cap: int) -> np.ndarray:
+        """Codeword counts by Hamming weight: the span of the last generator
+        rows, at most one block of codewords, added to every combination of
+        the others."""
         k = self.dim
         Q = self.field.size
-        if self.codeword_count > cap:
+        count = Q ** k
+        if count > cap:
             raise CapExceededError(
-                f"codeword enumeration for [{n},{k}] over a size-{Q} field",
-                self.codeword_count, cap)
-        layout = word_layout(self.field, n)
-        zero = np.zeros((1, layout.words), dtype=np.uint64)
-        if k == 0:
-            yield layout.weights(zero)
-            return
-        # the field multiples of each generator row, packed: lines[r][c]
-        elems = self.field.elements
-        lines = layout.pack(self.field.spec.vmul(elems[None, :, None], self.gens[:, None, :]))
-        low = 1
+                f"codeword enumeration for [{self.length},{k}] over a size-{Q} field",
+                count, cap)
+        # the last `low` rows (one at least, if any) span at most one block
+        low = min(k, 1)
         while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
             low += 1
-        block = layout.sum_span(lines[k - low:])
-        prefixes = layout.sum_span(lines[:k - low]) if k > low else zero
-        step = max(1, _BLOCK_CODEWORDS // len(block))
-        for start in range(0, len(prefixes), step):
-            # no name holds the sums, so they are freed before the next block
-            yield layout.weights(layout.add(prefixes[start:start + step, None, :],
-                                            block[None, :, :])).ravel()
+        layout = word_layout(self.field, self.length)
+        counts = layout.distributions(layout.span(self.gens[:k - low]),
+                                      layout.span(self.gens[k - low:])[None])[0]
+        if int(counts.sum()) != count:
+            raise InvariantError("weight distribution failed its sanity checks")
+        return counts
 
     def min_distance(self, cap: int = DEFAULT_CODEWORD_CAP) -> int:
         """Exact minimum Hamming weight over all nonzero codewords."""
         if self.dim == 0:
             raise ValueError("minimum distance is undefined for the zero code")
-        best = self.length + 1
-        first = True
-        for w in self._message_weights(cap):
-            if first:
-                w = w[1:]  # message 0 comes first by construction
-                first = False
-            if w.size:
-                m = int(w.min())
-                if m < best:
-                    best = m
-                    if best == 1:
-                        break
-        return best
+        return int(np.flatnonzero(self._distribution(cap)[1:])[0]) + 1
 
     def weight_distribution(self, cap: int = DEFAULT_CODEWORD_CAP) -> np.ndarray:
         """Codeword counts by Hamming weight, indices 0..length."""
-        counts = np.zeros(self.length + 1, dtype=np.int64)
-        for w in self._message_weights(cap):
-            counts += np.bincount(w, minlength=self.length + 1)
-        if counts[0] != 1 or int(counts.sum()) != self.codeword_count:
-            raise InvariantError("weight distribution failed its sanity checks")
-        return counts
+        return self._distribution(cap)
 
     # -- duality ----------------------------------------------------------------
 
@@ -347,12 +360,11 @@ class LinearCode:
 
     # -- membership ----------------------------------------------------------------
 
-    def contains(self, v) -> bool:
-        res = reduce_vector(self.field, self.gens, self.pivots, v)
-        return not res.any()
-
-    def contains_code(self, other: "LinearCode") -> bool:
-        return all(self.contains(row) for row in other.gens)
+    def contains(self, V) -> bool:
+        """Whether the vector V, or every row of the stack V, lies in the code.
+        The generators are in RREF, so a codeword v equals v[pivots] * G."""
+        V = np.asarray(V, dtype=np.int32)
+        return np.array_equal(V, self.field.spec.vdot(V[..., list(self.pivots)], self.gens))
 
     def params(self, cap: int = DEFAULT_CODEWORD_CAP) -> CodeParams:
         return CodeParams(self.length, self.dim, distance=self.min_distance(cap))

@@ -6,17 +6,19 @@ sums of one codeword from each piece.  The search weighs codes that way.
 
 Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
-minimum distance reaches the target; the span of each survivor is stored
-once, one row of packed words per codeword.  Later stages extend surviving
-id tuples one class at a time.  Candidates are selected with array masks
-(class order, dimension target, Singleton bound, subset closure), and all
-candidates of one dimension are weighed at once: the span of each is the
-field sum of the base span and its stored span.  The search is complete
-because every sub-assignment of a survivor is itself a survivor (a direct
-summand has at least the distance of the sum); the same fact prunes a
-candidate one of whose sub-assignments did not survive.  Results are
-deduplicated by (parameters, weight distribution) - a proxy for code
-equivalence, which is deliberately out of scope.
+minimum distance reaches the target; the span of each survivor (the base
+field's `WordLayout.span` of its flattened generators) is stored once, one
+row of packed words per codeword.  Later stages extend surviving id tuples
+one class at a time.  Candidates are selected with array masks (class
+order, dimension target, Singleton bound, subset closure), checked against
+the codeword cap, and all candidates of one dimension are weighed by one
+`WordLayout.distributions` call: the span of each is the field sum of the
+base span and its stored span.  The search is complete because every
+sub-assignment of a survivor is itself a survivor (a direct summand has at
+least the distance of the sum); the same fact prunes a candidate one of
+whose sub-assignments did not survive.  Results are deduplicated by
+(parameters, weight distribution) - a proxy for code equivalence, which is
+deliberately out of scope.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AbelianGroup
-from .errors import CapExceededError, InvariantError
+from .errors import CapExceededError
 from .idempotents import decompose_algebra
-from . import linear_codes
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
-                           LinearCode, WordLayout, enumerate_codes)
+                           LinearCode, WordLayout, enumerate_codes, word_layout)
 
 
 @dataclass(frozen=True)
@@ -87,76 +88,22 @@ class SearchResult:
         return [e for e in self.codes if e.params.dim == dim]
 
 
-class _Kernel(WordLayout):
-    """Spans and weights of direct sums, one row of packed words (the
-    base field's `WordLayout`) per codeword."""
-
-    def __init__(self, dec, spec: SearchSpec):
-        self.dec = dec
-        self.spec = spec
-        fspec = dec.spec
-        self.n = dec.group.size * spec.index
-        super().__init__(fspec.subfield(1), self.n)
-        self.scalars = fspec.subfield(1).elements
-        self.Q = len(self.scalars)
-        # no [n, k, >= d_min] code exists beyond the Singleton bound
-        self.singleton = self.n - spec.d_min + 1
-        self.max_dim = 0
-        while self.Q ** (self.max_dim + 1) <= spec.caps.codewords:
-            self.max_dim += 1
-
-    def check_cap(self, stage: int, dim: int) -> None:
-        if dim > self.max_dim:
-            raise CapExceededError(
-                f"search stage {stage}: codeword enumeration for [{self.n},{dim}]",
-                self.Q ** dim, self.spec.caps.codewords)
-
-    def span(self, i: int, outer: LinearCode) -> np.ndarray:
-        """Every codeword of the concatenation of `outer` with the i-th
-        minimal ideal, one row of packed words each; row 0 is the zero word."""
-        rows = self.dec.flatten(i, outer.gens)
-        # the base-field multiples of each flattened generator
-        lines = self.pack(self.dec.spec.vmul(self.scalars[:, None], rows[:, None, :]))
-        return self.sum_span(lines)
-
-    def weigh(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
-        """Weight distributions of base + spans[j], one row per j.
-
-        The sums are streamed in blocks of at most
-        `linear_codes._BLOCK_CODEWORDS` codewords, read at each call.  Both
-        spans start with the zero word and the generators are independent by
-        construction, so exactly one sum may have weight 0.
-        """
-        n = self.n
-        m, size, _ = spans.shape
-        block = linear_codes._BLOCK_CODEWORDS
-        step_m = max(1, block // (len(base) * size))
-        step_b = max(1, block // size)
-        step_s = min(size, block)
-        out = np.zeros((m, n + 1), dtype=np.int64)
-        for j in range(0, m, step_m):
-            part = spans[j:j + step_m, None]
-            for b in range(0, len(base), step_b):
-                for s in range(0, size, step_s):
-                    words = self.add(base[None, b:b + step_b, None, :],
-                                     part[:, :, s:s + step_s, :])
-                    w = self.weights(words).reshape(len(part), -1)
-                    w += (n + 1) * np.arange(len(part))[:, None]
-                    out[j:j + step_m] += np.bincount(
-                        w.ravel(), minlength=len(part) * (n + 1)).reshape(-1, n + 1)
-        if (out[:, 0] != 1).any():
-            raise InvariantError("direct sum generators are not independent")
-        return out
+def _check_cap(spec: SearchSpec, stage: int, n: int, dim: int) -> None:
+    """Refuse a candidate of dimension `dim` whose codewords exceed the cap."""
+    if spec.q ** dim > spec.caps.codewords:
+        raise CapExceededError(
+            f"search stage {stage}: codeword enumeration for [{n},{dim}]",
+            spec.q ** dim, spec.caps.codewords)
 
 
-def _stage1(kernel: _Kernel, i: int, counts: dict):
+def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
     """Yield (outer, span, weight distribution) for every nonzero outer code
     of class i, up to the dimension target, whose concatenation meets the
     distance target, counting the candidates, the Singleton rejections and
     the weighed codes in `counts`."""
-    dec, spec = kernel.dec, kernel.spec
+    n = layout.length
     k_i = dec.classes[i].size
-    zero = np.zeros((1, kernel.words), dtype=np.uint64)
+    zero = layout.span([])
     for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
         if outer.dim == 0:
             continue
@@ -164,13 +111,14 @@ def _stage1(kernel: _Kernel, i: int, counts: dict):
         if spec.dim_target is not None and dim > spec.dim_target:
             continue
         counts["candidates"] += 1
-        if dim > kernel.singleton:
+        # no [n, k, >= d_min] code exists beyond the Singleton bound
+        if dim > n - spec.d_min + 1:
             counts["singleton"] += 1
             continue
-        kernel.check_cap(1, dim)
+        _check_cap(spec, 1, n, dim)
         counts["weighed"] += 1
-        span = kernel.span(i, outer)
-        wd = kernel.weigh(zero, span[None])[0]
+        span = layout.span(dec.flatten(i, outer.gens))
+        wd = layout.distributions(zero, span[None])[0]
         if not wd[1:spec.d_min].any():
             yield outer, span, wd
 
@@ -191,10 +139,11 @@ def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, 
     """All nonzero outer codes for one class whose simple concatenation meets
     the distance target (and fit the dimension target, if any), with the
     exact concatenation distances."""
-    kernel = _Kernel(decompose_algebra(spec.group, spec.q), spec)
+    dec = decompose_algebra(spec.group, spec.q)
+    layout = word_layout(dec.spec.subfield(1), dec.group.size * spec.index)
     counts = {"candidates": 0, "singleton": 0, "weighed": 0}
     return [(outer, _distance(wd))
-            for outer, _, wd in _stage1(kernel, class_index, counts)]
+            for outer, _, wd in _stage1(dec, spec, layout, class_index, counts)]
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -203,8 +152,8 @@ def search(spec: SearchSpec) -> SearchResult:
     if spec.d_min > spec.group.size * spec.index:
         return SearchResult([], {"stages": [], "note": "target exceeds the length"})
     dec = decompose_algebra(spec.group, spec.q)
-    kernel = _Kernel(dec, spec)
-    n, d_min, dim_target = kernel.n, spec.d_min, spec.dim_target
+    n, d_min, dim_target = spec.group.size * spec.index, spec.d_min, spec.dim_target
+    layout = word_layout(dec.spec.subfield(1), n)
     stats: dict = {"stages": []}
 
     # stage 1: ids in class order, then outer-code enumeration order
@@ -212,7 +161,7 @@ def search(spec: SearchSpec) -> SearchResult:
     counts = {"candidates": 0, "singleton": 0, "weighed": 0}
     classes, outers, spans, wds = [], [], [], []
     for i in range(dec.class_count):
-        for outer, span, wd in _stage1(kernel, i, counts):
+        for outer, span, wd in _stage1(dec, spec, layout, i, counts):
             classes.append(i)
             outers.append(outer)
             spans.append(span)
@@ -293,20 +242,20 @@ def search(spec: SearchSpec) -> SearchResult:
                     break
                 closed &= mask[start - (later_l[sub[-1]] if sub else 0):]
             kept = int(np.count_nonzero(closed))
-            picked = np.flatnonzero(closed & (cand_dims <= kernel.singleton))
+            picked = np.flatnonzero(closed & (cand_dims <= n - d_min + 1))
             counts["candidates"] += considered
             counts["pruned"] += considered - kept
             counts["singleton"] += kept - len(picked)
             counts["weighed"] += len(picked)
             if not len(picked):
                 continue
-            kernel.check_cap(stage, int(cand_dims[picked].max()))
-            base_span = kernel.sum_span([spans[j] for j in base])
+            _check_cap(spec, stage, n, int(cand_dims[picked].max()))
+            base_span = layout.sum_span([spans[j] for j in base])
             ids = start + picked
             weights = np.empty((len(ids), n + 1), dtype=np.int64)
             for k in np.unique(dims[ids]).tolist():
                 sel = dims[ids] == k
-                weights[sel] = kernel.weigh(base_span, stacks[k][slot[ids[sel]]])
+                weights[sel] = layout.distributions(base_span, stacks[k][slot[ids[sel]]])
             good = np.flatnonzero(~weights[:, 1:d_min].any(axis=1))
             if not len(good):
                 continue

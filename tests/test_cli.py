@@ -43,10 +43,12 @@ def test_classes_json_and_banner(capsys):
     assert out.splitlines()[0].startswith("qacodes ")
 
 
-def test_classes_past_byte_sized_digits(capsys):
-    code, out, _ = run(capsys, "--no-banner", "classes", "--q", "257", "--group", "2")
+@pytest.mark.parametrize("q,group,degrees", [("257", "2", "1 1"), ("2", "47", "1 23 23")],
+                         ids=["q257", "q2-C47"])
+def test_classes_past_byte_sized_digits(capsys, q, group, degrees):
+    code, out, _ = run(capsys, "--no-banner", "classes", "--q", q, "--group", group)
     assert code == 0
-    assert out.strip().splitlines()[-1] == "field degrees over F_257: 1 1"
+    assert out.strip().splitlines()[-1] == f"field degrees over F_{q}: {degrees}"
 
 
 def test_output_is_deterministic(capsys):

@@ -3,13 +3,16 @@
 import itertools
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qacodes
 from qacodes import linear_codes
 from qacodes.algebra import FieldSpec, build_tower, AbelianGroup
-from qacodes.errors import CapExceededError
+from qacodes.errors import CapExceededError, InvariantError
 from qacodes.linear_codes import (CodeParams, LinearCode, WordLayout, code_from_descriptor,
                                   code_to_descriptor, embed_code, enumerate_codes,
                                   frobenius_twist, gaussian_binomial, rref,
@@ -156,11 +159,46 @@ def test_enumeration_streams_small_blocks(monkeypatch, block):
     block, give the same distances and distributions."""
     codes = [_random_code(_field(q, tower, degree), n, k, 7)
              for q, tower, degree, n, k, _ in NAIVE_CASES]
-    codes.append(LinearCode(F2, 9, np.eye(9, dtype=int)))  # distance 1: early exit
+    codes.append(LinearCode(F2, 9, np.eye(9, dtype=int)))  # distance 1
     codes.append(_random_code(_field(2, 4, 4), 3, 3, 7))   # F_16: 16 prefixes of 256
     want = [(c.weight_distribution().tolist(), c.min_distance()) for c in codes]
     monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
     assert [(c.weight_distribution().tolist(), c.min_distance()) for c in codes] == want
+
+
+def test_distributions_reject_dependent_spans():
+    """Two spans sharing a nonzero word give weight 0 twice: the weigher
+    refuses them rather than miscount."""
+    layout = linear_codes.word_layout(F3, 5)
+    rows = [[1, 2, 0, 0, 1], [0, 1, 1, 2, 0]]
+    with pytest.raises(InvariantError):
+        layout.distributions(layout.span(rows), layout.span(rows[1:])[None])
+    got = layout.distributions(layout.span(rows[:1]), layout.span(rows[1:])[None])[0]
+    assert got.tolist() == LinearCode(F3, 5, rows).weight_distribution().tolist()
+
+
+@pytest.mark.parametrize("q,tower", [(2, 1), (3, 1), (4, 1), (2, 11)])
+def test_contains_a_stack_matches_the_rank_test(q, tower):
+    """V lies in the code iff adding its rows leaves the rank unchanged."""
+    field = FieldSpec(q, tower).subfield(tower)
+    rng = np.random.default_rng(q * 10 + tower)
+    for trial in range(12):
+        n = int(rng.integers(1, 8))
+        code = _random_code(field, n, int(rng.integers(0, n + 1)), trial)
+        inside = field.spec.vdot(rng.choice(field.elements, size=(3, code.dim)), code.gens)
+        other = rng.choice(field.elements, size=(int(rng.integers(0, 4)), n))
+        for V in (inside, inside[0], other, np.vstack([inside, other[:1]])):
+            stacked = np.vstack([code.gens, np.atleast_2d(V)])
+            assert code.contains(V) == (linear_codes.rank(field, stacked) == code.dim)
+
+
+def test_weigher_lives_in_linear_codes():
+    """Every weight distribution is streamed by WordLayout, so that the
+    weigher exists once."""
+    internal = re.compile(r"_BLOCK_CODEWORDS|\.weights\(")
+    readers = [path.name for path in Path(qacodes.__file__).parent.glob("*.py")
+               if internal.search(path.read_text(encoding="utf-8"))]
+    assert readers == ["linear_codes.py"]
 
 
 def test_weight_distribution_examples():

@@ -7,8 +7,8 @@ from qacodes import linear_codes
 from qacodes.algebra import AbelianGroup
 from qacodes.concatenation import is_qa, qa_from_constituents
 from qacodes.idempotents import decompose_algebra
-from qacodes.linear_codes import LinearCode, gaussian_binomial
-from qacodes.search import SearchSpec, _Kernel, search, stage1_filter
+from qacodes.linear_codes import LinearCode, gaussian_binomial, word_layout
+from qacodes.search import SearchSpec, search, stage1_filter
 
 G33 = AbelianGroup((3, 3))
 
@@ -157,9 +157,9 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
     the full enumeration of the flattened quasi-abelian code."""
     group = AbelianGroup(orders)
     dec = decompose_algebra(group, q)
-    kernel = _Kernel(dec, SearchSpec(q=q, group=group, index=index, d_min=1))
+    layout = word_layout(dec.spec.subfield(1), group.size * index)
     if q == 3 and index == 6:
-        assert kernel.words == 2
+        assert layout.words == 2
     max_dim = int(np.log(2 ** 13) / np.log(q))  # at most 2^13 codewords
     rng = np.random.default_rng(q * 100 + index)
     for _ in range(4):
@@ -171,12 +171,13 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
                 assignment[i] = _random_outer(rng, dec.spec.subfield(k), index, r)
                 dim += k * r
         *first, last = sorted(assignment)
-        spans = [kernel.span(i, assignment[i]) for i in first]
-        base = kernel.sum_span(spans) if spans else np.zeros((1, kernel.words), np.uint64)
+        spans = [layout.span(dec.flatten(i, assignment[i].gens)) for i in first]
+        base = layout.sum_span(spans) if spans else layout.span([])
         # three candidates of the same dimension for the last class, weighed at once
         field, r = dec.spec.subfield(dec.classes[last].size), assignment[last].dim
         outers = [assignment[last]] + [_random_outer(rng, field, index, r) for _ in range(2)]
-        got = kernel.weigh(base, np.stack([kernel.span(last, c) for c in outers]))
+        got = layout.distributions(
+            base, np.stack([layout.span(dec.flatten(last, c.gens)) for c in outers]))
         for outer, row in zip(outers, got):
             qa = qa_from_constituents(group, q, index, {**assignment, last: outer})
             assert row.tolist() == qa.flattened.weight_distribution().tolist()
