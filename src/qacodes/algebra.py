@@ -5,7 +5,11 @@ All field arithmetic happens inside one ambient field K = F_p[x]/(modulus).
 The base field F_q (q = p^b) and every intermediate extension of F_q are
 realized as Frobenius-fixed subsets of K, never as standalone fields.  A
 field element is encoded as an integer in [0, p^n): its base-p digits are
-the polynomial coefficients, lowest degree first.  Vectorized table lookups
+the polynomial coefficients, lowest degree first.  The field is bootstrapped
+on one companion matrix: multiplication by an element is an F_p-linear map
+on digit vectors, a polynomial in the companion matrix of the modulus, and
+the irreducibility test, the default modulus, the generator and the exp
+table are all computed from powers of such matrices.  Vectorized table lookups
 on these integer codes are what the linear-algebra kernels run on: `vadd`
 and `vmul` (pair tables up to a size limit, digit-wise addition and
 log/exp multiplication above it), `vpow`, and one field sum, `vsum`, a
@@ -24,7 +28,7 @@ import functools
 import itertools
 import math
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,113 +85,70 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over the prime field (bootstrap only)
+# the bootstrap, on one companion matrix: multiplication by an element of
+# F_p[x]/(modulus) is a matrix acting on row vectors of base-p digits, and
+# every such matrix is a polynomial in the companion matrix C (the matrix of
+# multiplication by x).  Only FieldSpec construction runs this code.
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo the monic polynomial mod."""
-    n = len(mod) - 1
-    res = [c % p for c in a]
-    for i in range(len(res) - 1, n - 1, -1):
-        c = res[i]
-        if c:
-            for j in range(n + 1):
-                res[i - n + j] = (res[i - n + j] - c * mod[j]) % p
-    res = res[:n] + [0] * max(0, n - len(res))
-    return res
+def _companion(modulus: Sequence[int], p: int) -> np.ndarray:
+    """Matrix of multiplication by x: row j holds the digits of x^(j+1)."""
+    n = len(modulus) - 1
+    C = np.eye(n, k=1, dtype=np.int64)
+    C[-1] = [-c % p for c in modulus[:n]]
+    return C
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_mod(res, mod, p)
-
-
-def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = _poly_mod([1], mod, p)
-    base = _poly_mod(a, mod, p)
-    while e > 0:
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    """M^e mod p by square-and-multiply."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            out = out @ M % p
+        M = M @ M % p
         e >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = _poly_trim([c % p for c in a])
-    b = _poly_trim([c % p for c in b])
-    while b != [0]:
-        # reduce a modulo b (b made monic first)
-        inv_lead = pow(b[-1], -1, p)
-        b_monic = [c * inv_lead % p for c in b]
-        r = [c % p for c in a]
-        while len(r) >= len(b_monic) and _poly_trim(list(r)) != [0]:
-            r = _poly_trim(r)
-            if len(r) < len(b_monic):
-                break
-            c = r[-1]
-            shift = len(r) - len(b_monic)
-            for j, bj in enumerate(b_monic):
-                r[shift + j] = (r[shift + j] - c * bj) % p
-            r = _poly_trim(r)
-        a, b = b_monic, _poly_trim(r)
-    return a
+def _has_order(M: np.ndarray, N: int, p: int) -> bool:
+    """Whether M has exact multiplicative order N mod p."""
+    one = np.eye(len(M), dtype=np.int64)
+    if not np.array_equal(_mat_pow(M, N, p), one):
+        return False
+    return not any(np.array_equal(_mat_pow(M, N // r, p), one) for r in _prime_factors(N))
 
 
 def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
+    """Rabin irreducibility test for a monic polynomial f over F_p, on
+    powers of the companion matrix C: C^(p^n) = C, and x^(p^(n/r)) - x is a
+    unit for every prime r | n.  Once the first holds, F_p[x]/(f) is a
+    product of fields whose unit groups have orders dividing p^n - 1, so an
+    element is a unit exactly when its (p^n - 1)-th power is 1."""
     mod = [c % p for c in modulus]
     n = len(mod) - 1
     if n < 1 or mod[-1] != 1:
         raise ValueError("modulus must be monic of degree at least 1")
-    if n == 1:
-        return True
-    x = [0, 1]
-    xq = _poly_powmod(x, p ** n, mod, p)
-    if _poly_trim(list(xq)) != _poly_trim(_poly_mod(x, mod, p)):
+    C = _companion(mod, p)
+    if not np.array_equal(_mat_pow(C, p ** n, p), C):
         return False
+    one = np.eye(n, dtype=np.int64)
     for r in _prime_factors(n):
-        d = n // r
-        xd = _poly_powmod(x, p ** d, mod, p)
-        diff = [(xd[i] - (1 if i == 1 and len(xd) > 1 else 0)) % p for i in range(len(xd))]
-        g = _poly_gcd(diff, mod, p)
-        if len(_poly_trim(list(g))) > 1:
+        x_pd_minus_x = (_mat_pow(C, p ** (n // r), p) - C) % p
+        if not np.array_equal(_mat_pow(x_pd_minus_x, p ** n - 1, p), one):
             return False
     return True
 
 
 def default_modulus(p: int, n: int) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^n}: the first monic degree-n
-    polynomial (coefficients read as a base-p integer, low digits first) that
-    is irreducible and has x as a multiplicative generator.
+    polynomial (coefficients read as a base-p integer, low digits first) in
+    which x has multiplicative order p^n - 1.  Then the p^n - 1 powers of x
+    are all the nonzero residues, so the polynomial is irreducible.
 
     For p = 2, n = 4 this yields x^4 + x + 1.
     """
-    N = p ** n - 1
-    prime_divs = _prime_factors(N) if N > 1 else []
     for low in range(p ** n):
-        digits = []
-        m = low
-        for _ in range(n):
-            digits.append(m % p)
-            m //= p
-        poly = digits + [1]
-        if not is_irreducible(poly, p):
-            continue
-        x = _poly_mod([0, 1], poly, p)
-        if _poly_trim(list(x)) == [0]:
-            continue
-        if all(_poly_trim(_poly_powmod(x, N // r, poly, p)) != [1] for r in prime_divs):
+        poly = [low // p ** j % p for j in range(n)] + [1]
+        if _has_order(_companion(poly, p), p ** n - 1, p):
             return tuple(poly)
     raise InvariantError(f"no primitive polynomial of degree {n} over F_{p}")
 
@@ -261,21 +222,23 @@ class FieldSpec:
         self._digits = digits
         self._powvec = p ** np.arange(self.n, dtype=np.int64)
 
+        # multiplication by code c as an F_p-linear map on digit vectors: row
+        # j holds the digits of c * x^j, the previous row times the companion
+        C = _companion(modulus, p)
+
+        def mul_matrix(c: int) -> np.ndarray:
+            rows = [digits[c].astype(np.int64)]
+            for _ in range(1, self.n):
+                rows.append(rows[-1] @ C % p)
+            return np.stack(rows)
+
         # canonical generator of K^*: smallest code of full multiplicative order
-        prime_divs = _prime_factors(N) if N > 1 else []
-        gen = None
-        for g in range(1, self.size):
-            if all(self._raw_pow(g, N // r) != 1 for r in prime_divs):
-                gen = g
-                break
-        if gen is None:
-            raise InvariantError("multiplicative group has no generator")
+        gen = next(g for g in range(1, self.size) if _has_order(mul_matrix(g), N, p))
         self.generator = gen
 
-        # exp by doubling: exp[s:2s] = exp[:s] * gen^s.  Multiplication by
-        # gen^s is F_p-linear on digit vectors (row j of its matrix holds the
-        # digits of gen^s * x^j), and the matrix of gen^2s is its square.
-        step = digits[[self._raw_mul(gen, int(x)) for x in self._powvec]].astype(np.int64)
+        # exp by doubling: exp[s:2s] = exp[:s] * gen^s, and the matrix of
+        # gen^2s is the square of that of gen^s
+        step = mul_matrix(gen)
         exp = np.ones(1, dtype=np.int32)
         while len(exp) < N:
             exp = np.concatenate([exp, self._from_digits(digits[exp] @ step % p)])
@@ -301,42 +264,11 @@ class FieldSpec:
             self._add = None
             self._mul = None
 
-        # designated root of unity: smallest exponent e such that generator**e
-        # has exact order root_order
-        xi = None
-        for e in range(max(N, 1)):
-            order = N // math.gcd(e, N) if N > 0 else 1
-            if order == root_order:
-                xi = int(exp[e]) if N > 0 else 1
-                break
-        if xi is None:
-            raise InvariantError(f"no element of order {root_order} found")
-        self.xi_code = xi
+        # designated root of unity: generator**e for the smallest exponent e
+        # of exact order root_order, which is N // root_order
+        self.xi_code = int(exp[N // root_order % N])
 
         self._subfield_cache: dict[int, np.ndarray] = {}
-
-    # -- bootstrap arithmetic on codes (used before tables exist) ----------
-
-    def _code_to_poly(self, c: int) -> list[int]:
-        out = []
-        for _ in range(self.n):
-            out.append(c % self.p)
-            c //= self.p
-        return out
-
-    def _poly_to_code(self, poly: Sequence[int]) -> int:
-        c = 0
-        for d in reversed(list(poly[: self.n])):
-            c = c * self.p + (d % self.p)
-        return c
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        return self._poly_to_code(
-            _poly_mulmod(self._code_to_poly(a), self._code_to_poly(b), self.modulus, self.p))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        return self._poly_to_code(
-            _poly_powmod(self._code_to_poly(a), e, self.modulus, self.p))
 
     def _from_digits(self, d) -> np.ndarray:
         """Codes of base-p digit vectors (last axis), each digit in [0, p)."""
@@ -516,7 +448,8 @@ class FieldSpec:
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
         if len(coeffs) > self.n:
             raise ValueError(f"too many coefficients for degree {self.n}")
-        return FieldElement(self, self._poly_to_code([c % self.p for c in coeffs]))
+        return FieldElement(self, sum(int(c) % self.p * int(w)
+                                      for c, w in zip(coeffs, self._powvec)))
 
     def from_string(self, s: str) -> "FieldElement":
         """Parse a coefficient string, lowest degree first ('0110' = x + x^2),
@@ -877,20 +810,10 @@ class GroupAlgebraElement:
         c[g.index] = coeff
         return cls(group, spec, c)
 
-    @classmethod
-    def from_items(cls, group, spec, items: Mapping[GroupElement, FieldElement]):
-        c = np.zeros(group.size, dtype=np.int32)
-        for g, v in items.items():
-            c[g.index] = spec.add(int(c[g.index]), v.code)
-        return cls(group, spec, c)
-
     # -- structure -----------------------------------------------------------
 
     def coeff(self, g: GroupElement) -> FieldElement:
         return FieldElement(self.spec, int(self.coeffs[g.index]))
-
-    def support(self) -> list[GroupElement]:
-        return [self.group.at(int(i)) for i in np.nonzero(self.coeffs)[0]]
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.coeffs))

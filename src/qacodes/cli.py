@@ -17,13 +17,13 @@ import sys
 
 from . import __version__
 from .algebra import AbelianGroup, modulus_str, prime_power
-from .concatenation import (constituents_of, distance_bound, qa_from_descriptor,
-                            qa_to_descriptor)
+from .concatenation import (constituent_entry, constituents_of, distance_bound,
+                            qa_from_descriptor, qa_to_descriptor)
 from .errors import CapExceededError, InvariantError
 from .families import FamilySpec, builtin_lcd_outers, family_report
 from .idempotents import cyclotomic_classes, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP,
-                           code_from_descriptor, code_to_descriptor)
+                           code_from_descriptor, code_to_descriptor, rows_to_strings)
 from .reference import run_reference_suite
 from .search import Caps, SearchSpec, search
 
@@ -102,8 +102,7 @@ def _cmd_decompose(args) -> int:
             "root_of_unity": spec.element_str(spec.xi_code),
             "classes": [{"rep": list(c.rep.coords), "size": c.size}
                         for c in dec.classes],
-            "idempotents": [[spec.element_str(int(v)) for v in e.coeffs]
-                            for e in dec.idempotents],
+            "idempotents": rows_to_strings(spec, [e.coeffs for e in dec.idempotents]),
         })
         return 0
     print(f"algebra F_{args.q}[{group!r}], splitting field F_{spec.p}[x]/"
@@ -161,7 +160,7 @@ def _cmd_constituents(args) -> int:
     for rep, c in sorted(outers.items(), key=lambda t: t[0].index):
         print(f"class {str(list(rep.coords)).replace(' ', '')}: "
               f"[{c.length},{c.dim}] generators "
-              f"{[[c.field.spec.element_str(int(v)) for v in row] for row in c.gens]}")
+              f"{rows_to_strings(c.field.spec, c.gens)}")
     return 0
 
 
@@ -197,14 +196,10 @@ def _cmd_search(args) -> int:
                       dim_target=args.dim, caps=args.caps)
     result = search(spec)
     dec = decompose_algebra(group, args.q)
-    fspec = dec.spec
     entries = []
     for e in result.codes:
         entries.append({
-            "constituents": [{"class_member": list(dec.classes[i].rep.coords),
-                              "generators": [[fspec.element_str(int(v)) for v in row]
-                                             for row in c.gens]}
-                             for i, c in e.assignment],
+            "constituents": [constituent_entry(dec, i, c) for i, c in e.assignment],
             "params": _params_doc(e.params),
             "weight_distribution": list(e.fingerprint[2]),
         })

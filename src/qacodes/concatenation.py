@@ -25,7 +25,7 @@ from .errors import InvariantError
 from .idempotents import SemisimpleDecomposition, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode, _json_ints,
                            _json_keys, _json_rows, _json_value, embed_code, frobenius_twist,
-                           rank)
+                           rank, rows_from_strings, rows_to_strings)
 
 
 class QACode:
@@ -383,20 +383,20 @@ def predict_params(inner_length: int, inner_dims: Sequence[int],
 # ---------------------------------------------------------------------------
 # descriptors
 
+def constituent_entry(dec: SemisimpleDecomposition, i: int, code: LinearCode) -> dict:
+    """The descriptor entry of the outer code `code` at class i."""
+    return {"class_member": list(dec.classes[i].rep.coords),
+            "generators": rows_to_strings(dec.spec, code.gens)}
+
+
 def qa_to_descriptor(qa: QACode) -> dict:
-    spec = qa.decomposition.spec
-    constituents = []
-    for i, code in qa.assignment.items():
-        constituents.append({
-            "class_member": list(qa.decomposition.classes[i].rep.coords),
-            "generators": [[spec.element_str(int(v)) for v in row] for row in code.gens],
-        })
     return {
         "q": qa.q,
         "group": list(qa.group.orders),
         "index": qa.index,
-        "modulus": list(spec.modulus),
-        "constituents": constituents,
+        "modulus": list(qa.decomposition.spec.modulus),
+        "constituents": [constituent_entry(qa.decomposition, i, code)
+                         for i, code in qa.assignment.items()],
     }
 
 
@@ -419,10 +419,8 @@ def qa_from_descriptor(obj: dict) -> QACode:
         member = tuple(_json_ints(entry["class_member"], "class_member"))
         i, _ = _class_position(dec, member)
         k_i = dec.classes[i].size
-        rows = [[spec.from_string(s).code for s in row]
-                for row in _json_rows(entry["generators"])]
         code = LinearCode(spec.subfield(k_i), index,
-                          np.array(rows, dtype=np.int32).reshape(len(rows), index))
+                          rows_from_strings(spec, _json_rows(entry["generators"]), index))
         if member in assignment:
             raise ValueError(f"duplicate constituent for class member {member}")
         assignment[member] = code

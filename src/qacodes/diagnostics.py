@@ -17,15 +17,19 @@ from .idempotents import decompose_algebra
 
 Check = tuple[str, bool, str]
 
+# random draws per sampled check, and the index of the module idempotents
+SAMPLES = 100
+INDEX = 2
+
 
 def _sample_codes(rng: random.Random, size: int, count: int) -> list[int]:
     return [rng.randrange(size) for _ in range(count)]
 
 
-def field_axiom_checks(spec, rng: random.Random, samples: int = 100) -> list[Check]:
+def field_axiom_checks(spec, rng: random.Random) -> list[Check]:
     out = []
     ok = True
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         a, b, c = (spec.element(x) for x in _sample_codes(rng, spec.size, 3))
         if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
             ok = False
@@ -35,7 +39,7 @@ def field_axiom_checks(spec, rng: random.Random, samples: int = 100) -> list[Che
             ok = False
         if (a + b).frobenius() != a.frobenius() + b.frobenius():
             ok = False
-    out.append(("field axioms on random samples", ok, f"{samples} triples"))
+    out.append(("field axioms on random samples", ok, f"{SAMPLES} triples"))
     fixed = [c for c in range(spec.size) if spec.frob(c) == c]
     out.append(("Frobenius fixes exactly the base field",
                 len(fixed) == spec.q and all(spec.in_subfield(c, 1) for c in fixed),
@@ -48,18 +52,17 @@ def field_axiom_checks(spec, rng: random.Random, samples: int = 100) -> list[Che
     return out
 
 
-def character_checks(group: AbelianGroup, spec, rng: random.Random,
-                     samples: int = 100) -> list[Check]:
+def character_checks(group: AbelianGroup, spec, rng: random.Random) -> list[Check]:
     out = []
     ok = True
     els = group.elements
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         a, h, hp = (els[rng.randrange(len(els))] for _ in range(3))
         if character(a, h + hp, spec) != character(a, h, spec) * character(a, hp, spec):
             ok = False
         if character(a + hp, h, spec) != character(a, h, spec) * character(hp, h, spec):
             ok = False
-    out.append(("characters multiplicative in both arguments", ok, f"{samples} samples"))
+    out.append(("characters multiplicative in both arguments", ok, f"{SAMPLES} samples"))
     ok = True
     for a in els:
         total = spec.zero
@@ -72,8 +75,7 @@ def character_checks(group: AbelianGroup, spec, rng: random.Random,
     return out
 
 
-def decomposition_checks(group: AbelianGroup, q: int, rng: random.Random,
-                         samples: int = 100) -> list[Check]:
+def decomposition_checks(group: AbelianGroup, q: int, rng: random.Random) -> list[Check]:
     dec = decompose_algebra(group, q)
     spec = dec.spec
     out = []
@@ -98,7 +100,7 @@ def decomposition_checks(group: AbelianGroup, q: int, rng: random.Random,
     for i in range(dec.class_count):
         codes = spec.subfield_codes(dec.classes[i].size)
         draws = [int(codes[rng.randrange(len(codes))])
-                 for _ in range(2 * (samples // dec.class_count + 1))]
+                 for _ in range(2 * (SAMPLES // dec.class_count + 1))]
         d1, d2 = draws[0::2], draws[1::2]
         r1, r2, r12 = (dec.lift_vector(i, d) for d in (d1, d2, spec.vadd(d1, d2)))
         for a, b, x, y in zip(r1, r2, d1, d2):
@@ -121,17 +123,17 @@ def decomposition_checks(group: AbelianGroup, q: int, rng: random.Random,
     return out
 
 
-def block_idempotent_checks(group: AbelianGroup, q: int, index: int) -> list[Check]:
+def block_idempotent_checks(group: AbelianGroup, q: int) -> list[Check]:
     dec = decompose_algebra(group, q)
     spec = dec.spec
     out = []
-    thetas = [block_idempotent(dec, i, index) for i in range(dec.class_count)]
+    thetas = [block_idempotent(dec, i, INDEX) for i in range(dec.class_count)]
     ok = True
     for i, ti in enumerate(thetas):
         for j, tj in enumerate(thetas):
             prod = tuple(a * b for a, b in zip(ti, tj))
             want = ti if i == j else tuple(
-                GroupAlgebraElement.zero(group, spec) for _ in range(index))
+                GroupAlgebraElement.zero(group, spec) for _ in range(INDEX))
             if prod != want:
                 ok = False
     total = thetas[0]
@@ -139,20 +141,19 @@ def block_idempotent_checks(group: AbelianGroup, q: int, index: int) -> list[Che
         total = tuple(a + b for a, b in zip(total, t))
     one = GroupAlgebraElement.one(group, spec)
     ok = ok and all(c == one for c in total)
-    out.append((f"module idempotents at index {index} (products and sum)", ok,
+    out.append((f"module idempotents at index {INDEX} (products and sum)", ok,
                 f"{dec.class_count} blocks"))
     return out
 
 
-def run_identity_suite(q: int, orders, seed: int = 0, samples: int = 100,
-                       index: int = 2) -> list[Check]:
+def run_identity_suite(q: int, orders, seed: int = 0) -> list[Check]:
     """The full algebra/decomposition identity suite for one (q, H) pair."""
     group = AbelianGroup(orders)
     dec = decompose_algebra(group, q)
     rng = random.Random(seed)
     checks = []
-    checks += field_axiom_checks(dec.spec, rng, samples)
-    checks += character_checks(group, dec.spec, rng, samples)
-    checks += decomposition_checks(group, q, rng, samples)
-    checks += block_idempotent_checks(group, q, index)
+    checks += field_axiom_checks(dec.spec, rng)
+    checks += character_checks(group, dec.spec, rng)
+    checks += decomposition_checks(group, q, rng)
+    checks += block_idempotent_checks(group, q)
     return checks

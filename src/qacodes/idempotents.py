@@ -46,26 +46,19 @@ def cyclotomic_classes(group: AbelianGroup, q: int) -> list[CyclotomicClass]:
     """
     if math.gcd(q, group.size) != 1:
         raise ValueError(f"gcd({q}, {group.size}) != 1: non-semisimple case out of scope")
-    seen: set[int] = set()
+    times_q = group.scalar_table(q).tolist()
+    seen = [False] * group.size
     classes = []
-    for h in group.elements:
-        if h.index in seen:
+    # h in index order is the least index of its orbit when not yet seen
+    for h in range(group.size):
+        if seen[h]:
             continue
-        members = []
-        cur = h
-        while cur.index not in seen:
-            seen.add(cur.index)
-            members.append(cur)
-            cur = q * cur
-        rep = min(members, key=lambda g: g.index)
-        # list the orbit starting from the representative
-        ordered = []
-        cur = rep
-        for _ in members:
-            ordered.append(cur)
-            cur = q * cur
-        classes.append(CyclotomicClass(rep, tuple(ordered)))
-    classes.sort(key=lambda s: s.rep.index)
+        orbit = [h]
+        while times_q[orbit[-1]] != h:
+            orbit.append(times_q[orbit[-1]])
+        for g in orbit:
+            seen[g] = True
+        classes.append(CyclotomicClass(group.at(h), tuple(map(group.at, orbit))))
     return classes
 
 

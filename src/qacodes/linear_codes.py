@@ -288,10 +288,6 @@ class LinearCode:
         return self.gens.shape[0]
 
     @property
-    def field_size(self) -> int:
-        return self.field.size
-
-    @property
     def codeword_count(self) -> int:
         return self.field.size ** self.dim
 
@@ -486,6 +482,18 @@ def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
 # ---------------------------------------------------------------------------
 # descriptors
 
+def rows_to_strings(spec: FieldSpec, rows) -> list[list[str]]:
+    """Element strings of a matrix of codes, row by row (a descriptor's
+    "generators")."""
+    return [[spec.element_str(int(v)) for v in row] for row in rows]
+
+
+def rows_from_strings(spec: FieldSpec, rows: list[list[str]], length: int) -> np.ndarray:
+    """The codes of type-checked "generators" rows, as a (rows, length) matrix."""
+    codes = [[spec.from_string(s).code for s in row] for row in rows]
+    return np.array(codes, dtype=np.int32).reshape(len(codes), length)
+
+
 def code_to_descriptor(code: LinearCode) -> dict:
     spec = code.field.spec
     return {
@@ -493,7 +501,7 @@ def code_to_descriptor(code: LinearCode) -> dict:
         "modulus": list(spec.modulus),
         "field_degree": code.field.degree,
         "length": code.length,
-        "generators": [[spec.element_str(int(v)) for v in row] for row in code.gens],
+        "generators": rows_to_strings(spec, code.gens),
     }
 
 
@@ -556,6 +564,4 @@ def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode
             if width % b != 0:
                 raise ValueError("element string width does not match the base field")
             spec = FieldSpec(q, width // b)
-    field = spec.subfield(degree)
-    rows = [[spec.from_string(s).code for s in row] for row in gens]
-    return LinearCode(field, length, np.array(rows, dtype=np.int32).reshape(len(rows), length))
+    return LinearCode(spec.subfield(degree), length, rows_from_strings(spec, gens, length))

@@ -103,7 +103,7 @@ def predict_164025(full_sum_distance: int = 4) -> CodeParams:
                           [CodeParams(6561, 5076, 55)] * 4, [4, 4, 4, 4])
 
 
-def run_reference_suite(seed: int = 0, samples: int = 100) -> list[Check]:
+def run_reference_suite(seed: int = 0) -> list[Check]:
     """Every reproduction check, as (name, ok, detail) rows."""
     checks: list[Check] = []
 
@@ -146,7 +146,7 @@ def run_reference_suite(seed: int = 0, samples: int = 100) -> list[Check]:
                        ok, ""))
 
     for q, orders in IDENTITY_SUITE_PAIRS:
-        suite = run_identity_suite(q, orders, seed=seed, samples=samples)
+        suite = run_identity_suite(q, orders, seed=seed)
         ok = all(c[1] for c in suite)
         detail = "; ".join(n for n, good, _ in suite if not good) or \
             f"{len(suite)} checks"

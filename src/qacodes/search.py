@@ -84,9 +84,6 @@ class SearchResult:
     codes: list[SearchEntry]
     stats: dict
 
-    def by_dimension(self, dim: int) -> list[SearchEntry]:
-        return [e for e in self.codes if e.params.dim == dim]
-
 
 def _check_cap(spec: SearchSpec, stage: int, n: int, dim: int) -> None:
     """Refuse a candidate of dimension `dim` whose codewords exceed the cap."""

@@ -97,7 +97,7 @@ def test_c05_large_example_arithmetic():
 def test_c06_algebraic_identity_suite():
     failures = []
     for q, orders in IDENTITY_SUITE_PAIRS:
-        for name, ok, detail in run_identity_suite(q, orders, seed=0, samples=100):
+        for name, ok, detail in run_identity_suite(q, orders, seed=0):
             if not ok:
                 failures.append(f"q={q} H={orders}: {name} ({detail})")
     assert _report(6, not failures, "; ".join(failures) or

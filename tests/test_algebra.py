@@ -1,11 +1,15 @@
 """Field, group, character and group-algebra arithmetic."""
 
 import functools
+import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qacodes
 from qacodes.algebra import (AbelianGroup, FieldSpec, GroupAlgebraElement,
                              build_tower, character, default_modulus,
                              is_irreducible, multiplicative_order, prime_power,
@@ -192,13 +196,62 @@ def test_array_primitives_match_scalar_loops(case):
             spec.vdot(A, B)
 
 
-@pytest.mark.parametrize("q,t", [(2, 4), (3, 4), (2, 11), (11, 2), (257, 2)])
-def test_exp_table_is_the_power_chain_of_the_generator(q, t):
-    spec = FieldSpec(q, t, pair_tables=False)
-    for i in range(0, spec.size - 1, max(1, (spec.size - 1) // 3000)):
-        assert spec._exp[i] == spec._raw_pow(spec.generator, i)
+def _mulmod(a, b, modulus, p):
+    """Schoolbook product of two coefficient lists (lowest degree first),
+    reduced by long division modulo the monic modulus."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    n = len(modulus) - 1
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i]
+        for j in range(n + 1):
+            prod[i - n + j] = (prod[i - n + j] - c * modulus[j]) % p
+    return prod[:n]
+
+
+def _monic_polys(p, n):
+    """Every monic polynomial of degree n over F_p, as coefficient tuples."""
+    return [tuple(low // p ** j % p for j in range(n)) + (1,) for low in range(p ** n)]
+
+
+@pytest.mark.parametrize("q,t,modulus", [
+    pytest.param(q, t, None, id=f"{q}-{t}")
+    for q, t in [(2, 4), (3, 4), (2, 11), (11, 2), (257, 2)]
+] + [pytest.param(2, 4, (1, 1, 1, 1, 1), id="2-4-nonprimitive")])
+def test_exp_table_is_the_power_chain_of_the_generator(q, t, modulus):
+    spec = FieldSpec(q, t, modulus=modulus, pair_tables=False)
+    if modulus is not None:
+        assert spec.generator != 2  # x has order 5 in x^4 + x^3 + x^2 + x + 1
+    gen = list(spec.element(spec.generator).coeffs)
+    power = [1] + [0] * (spec.n - 1)
+    for i in range(spec.size - 1):
+        assert spec._exp[i] == spec.from_coeffs(power).code
+        power = _mulmod(power, gen, spec.modulus, spec.p)
+    assert power == [1] + [0] * (spec.n - 1)
     assert sorted(spec._exp.tolist()) == list(range(1, spec.size))
     assert (spec._exp[spec._log[1:]] == np.arange(1, spec.size)).all()
+
+
+def test_is_irreducible_matches_trial_division():
+    for p, top in [(2, 8), (3, 5), (5, 3), (7, 2)]:
+        for n in range(1, top + 1):
+            divisors = [d for k in range(1, n // 2 + 1) for d in _monic_polys(p, k)]
+            for f in _monic_polys(p, n):
+                # d | f exactly when f is zero modulo d (f * 1 reduced mod d)
+                want = not any(not any(_mulmod(list(f), [1], d, p)) for d in divisors)
+                assert is_irreducible(f, p) == want, (p, f)
+
+
+@pytest.mark.parametrize("q,t", [(2, 4), (2, 6), (3, 4), (7, 2)])
+def test_xi_is_the_first_power_of_the_generator_of_its_order(q, t):
+    N = q ** t - 1
+    for root_order in [r for r in range(1, N + 1) if N % r == 0]:
+        spec = FieldSpec(q, t, root_order=root_order)
+        e = next(e for e in range(N) if N // math.gcd(e, N) == root_order)
+        assert spec.xi_code == spec.pow_(spec.generator, e)
+        assert spec.element_order(spec.xi_code) == root_order
 
 
 @pytest.mark.parametrize("q,t", [(257, 1), (257, 2)])
@@ -413,3 +466,15 @@ def test_element_string_roundtrip():
             f16.from_string(s)
     with pytest.raises(ValueError, match="presentation needs 2"):
         FieldSpec(4, 1).from_string("1")
+
+
+def test_field_bootstrap_is_one_companion_matrix():
+    """The field is built from the companion matrix of its modulus alone:
+    no list-polynomial arithmetic is left, and the matrix helpers stay in
+    algebra.py."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(qacodes.__file__).parent.glob("*.py")}
+    assert not [name for name, text in sources.items()
+                if re.search(r"_poly_|_raw_mul|_raw_pow", text)]
+    assert [name for name, text in sorted(sources.items())
+            if re.search(r"_(companion|mat_pow)\b", text)] == ["algebra.py"]
