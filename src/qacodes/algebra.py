@@ -232,8 +232,11 @@ class FieldSpec:
                 rows.append(rows[-1] @ C % p)
             return np.stack(rows)
 
-        # canonical generator of K^*: smallest code of full multiplicative order
-        gen = next(g for g in range(1, self.size) if _has_order(mul_matrix(g), N, p))
+        # canonical generator of K^*: smallest code of full multiplicative order;
+        # when n > 1 the constants 1..p-1 (codes below p) lie in F_p^* and
+        # cannot have it
+        first = p if self.n > 1 else 1
+        gen = next(g for g in range(first, self.size) if _has_order(mul_matrix(g), N, p))
         self.generator = gen
 
         # exp by doubling: exp[s:2s] = exp[:s] * gen^s, and the matrix of

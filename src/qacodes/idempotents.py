@@ -216,12 +216,15 @@ class SemisimpleDecomposition:
 
     def flatten(self, i: int, gens) -> np.ndarray:
         """Base-field rows lift(b * v) for each row v of `gens` (a code over
-        the class field) and each power-basis element b, v outer and b
-        inner; block j of a row is the lift of coordinate j."""
+        the class field, its rows on the last two axes) and each power-basis
+        element b, v outer and b inner; block j of a row is the lift of
+        coordinate j.  Leading axes are kept: a stack of codes flattens to a
+        stack of row sets."""
         gens = np.asarray(gens, dtype=np.int32)
         basis = self._power_basis[i]
-        scaled = self.spec.vmul(gens[:, None, :], basis[:, None])
-        return self.lift_vector(i, scaled).reshape(len(gens) * len(basis), -1)
+        scaled = self.spec.vmul(gens[..., :, None, :], basis[:, None])
+        return self.lift_vector(i, scaled).reshape(
+            gens.shape[:-2] + (-1, gens.shape[-1] * self.group.size))
 
     def power_basis(self, i: int) -> np.ndarray:
         """Powers 1, g, ..., g^(k-1) of the subfield generator of class i."""

@@ -7,10 +7,11 @@ pivot entries times the generators (`contains` tests a stack at once).
 Minimum distance and weight distribution are found by full message-space
 enumeration, guarded by a cap; no cleverer distance algorithm is attempted.
 `WordLayout` is the one weigher: `span` packs every combination of some
-rows, and `distributions` adds a base span to each span of a stack and
-counts popcount weights, in blocks of at most 2^16 codewords.  A code is
-weighed as the span of its first generator rows plus the span of its last
-rows; the search weighs its direct sums the same way.
+rows, and `distributions` sums, for each of many candidates, one span from
+each of several stacks and counts popcount weights, in blocks of at most
+2^16 codewords.  A code is weighed as the span of its first generator rows
+plus the span of its last rows; the search weighs its direct sums, one
+stored span per summand, the same way.
 """
 
 from __future__ import annotations
@@ -183,67 +184,102 @@ class WordLayout:
 
     def weights(self, words: np.ndarray) -> np.ndarray:
         """Hamming weights of packed codewords (last axis: the words of one
-        codeword); overwrites `words`."""
+        codeword), as int64; overwrites `words` and may return a view of it."""
         for shift in self.folds:
             words |= words >> np.uint64(shift)
         if self.folds:
             words &= self.low
-        counts = np.bitwise_count(words)
-        # word by word: numpy reduces a short last axis slowly
-        out = counts[..., 0].astype(np.intp)
-        for j in range(1, counts.shape[-1]):
-            out += counts[..., j]
-        return out
+        np.bitwise_count(words, out=words)
+        out = words[..., 0]  # contiguous when a codeword is one word
+        if words.shape[-1] > 1:
+            # word by word: numpy reduces a short last axis slowly
+            out = out + words[..., 1]
+            for j in range(2, words.shape[-1]):
+                out += words[..., j]
+        return out.view(np.int64)
 
     def sum_span(self, spans) -> np.ndarray:
         """Span of a direct sum from the spans of its summands, each listing
-        the zero word first; the first summand varies slowest."""
+        the zero word first; the first summand varies slowest.  Leading axes
+        broadcast: a stack of spans gives a stack of sums."""
         # built from the last summand back, so the long axis is innermost
         out = spans[-1]
         for s in spans[-2::-1]:
-            out = self.add(s[:, None, :], out[None, :, :]).reshape(-1, self.words)
+            out = self.add(s[..., :, None, :], out[..., None, :, :])
+            out = out.reshape(out.shape[:-3] + (-1, self.words))
         return out
 
     def span(self, rows) -> np.ndarray:
-        """Every combination of `rows` (element codes) over the layout's
-        field, packed: the zero word first, the first row varying slowest.
-        No rows span the zero word alone."""
-        if not len(rows):
-            return np.zeros((1, self.words), dtype=np.uint64)
+        """Every combination of `rows` (element codes, last two axes) over the
+        layout's field, packed: the zero word first, the first row varying
+        slowest.  No rows span the zero word alone."""
         rows = np.asarray(rows, dtype=np.int32)
-        # the field multiples of each row: lines[r][c] = c-th element * row r
-        lines = self.field.spec.vmul(self.field.elements[:, None], rows[:, None, :])
-        return self.sum_span(self.pack(lines))
+        if rows.ndim < 2 or not rows.shape[-2]:
+            return np.zeros(rows.shape[:-2] + (1, self.words), dtype=np.uint64)
+        # the field multiples of each row: lines[..., r, c] = c-th element * row r
+        lines = self.pack(self.field.spec.vmul(self.field.elements[:, None],
+                                               rows[..., :, None, :]))
+        return self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])
 
-    def distributions(self, base: np.ndarray, spans: np.ndarray) -> np.ndarray:
-        """Weight distributions of base + spans[j], one row per j.
+    @property
+    def batch(self) -> int:
+        """How many weight distributions one block of counters holds."""
+        return max(1, _BLOCK_CODEWORDS // (self.length + 1))
+
+    def distributions(self, stacks, rows) -> np.ndarray:
+        """Weight distributions of the sums of stacks[t][rows[c, t]] over t,
+        one row per candidate c: `stacks` holds spans, one stack per summand,
+        and every candidate draws one span from each.
 
         The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
-        codewords, read at each call.  Both spans start with the zero word
-        and their generators must be independent, so exactly one sum may
-        have weight 0.
+        codewords, read at each call; the spans of a block are gathered for
+        it alone.  Every span starts with the zero word and the generators of
+        a sum must be independent, so exactly one sum may have weight 0.
         """
         n1 = self.length + 1
-        m, size, _ = spans.shape
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(stacks))
+        m = len(rows)
+        sizes = [s.shape[1] for s in stacks]
         block = _BLOCK_CODEWORDS
-        step_m = max(1, block // (len(base) * size))
-        step_b = max(1, block // size)
-        step_s = min(size, block)
-        out = np.zeros(m * n1, dtype=np.int64)  # row j: out[j * (n + 1):(j + 1) * (n + 1)]
-        for j in range(0, m, step_m):
-            part = spans[j:j + step_m, None]
-            rows = len(part)
-            for b in range(0, len(base), step_b):
-                for s in range(0, size, step_s):
-                    # no name holds the sums, so they are freed before the next block
-                    w = self.weights(self.add(base[None, b:b + step_b, None, :],
-                                              part[:, :, s:s + step_s, :]))
-                    if rows > 1:  # bincount keys: weight + (n + 1) * row
-                        w += n1 * np.arange(rows)[:, None, None]
-                    out[j * n1:(j + rows) * n1] += np.bincount(w.ravel(), minlength=rows * n1)
-        if out[::n1].tolist() != [1] * m:
+        out = np.zeros((m, n1), dtype=np.int64)
+        # the trailing summands from `inner` on fit in one block together
+        inner, size = len(stacks), 1
+        while inner and size * sizes[inner - 1] <= block:
+            inner -= 1
+            size *= sizes[inner]
+        step = max(1, block // size)
+        if not inner:  # whole candidates, `step` to a block
+            for j in range(0, m, step):
+                part = rows[j:j + step]
+                k = len(part)
+                # the candidates on the second axis, so that numpy's inner
+                # loops run along them
+                terms = [np.ascontiguousarray(s[r].transpose(1, 0, 2))
+                         for s, r in zip(stacks, part.T)]
+                sums = terms[-1]
+                for t in terms[-2::-1]:
+                    sums = self.add(t[:, None], sums[None]).reshape(-1, k, self.words)
+                del terms
+                w = self.weights(sums)  # a view of the sums
+                if k > 1:  # bincount keys: weight + (n + 1) * candidate
+                    w += n1 * np.arange(k)
+                out[j:j + k] = np.bincount(w.ravel(), minlength=k * n1).reshape(k, n1)
+                del sums, w  # freed before the next block
+        else:  # one candidate in several blocks, `step` spans of summand h in each
+            h = inner - 1
+            for c, r in enumerate(rows):
+                tails = [s[i] for s, i in zip(stacks[inner:], r[inner:])]
+                for head in itertools.product(*map(range, sizes[:h])):
+                    lead = np.zeros(self.words, dtype=np.uint64)
+                    for s, i, k in zip(stacks, r, head):
+                        lead = self.add(lead, s[i, k])
+                    for a in range(0, sizes[h], step):
+                        part = self.add(lead, stacks[h][r[h], a:a + step])
+                        w = self.weights(self.sum_span([part] + tails))
+                        out[c] += np.bincount(w.ravel(), minlength=n1)
+        if out[:, 0].tolist() != [1] * m:
             raise InvariantError("direct sum generators are not independent")
-        return out.reshape(m, n1)
+        return out
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +332,7 @@ class LinearCode:
     def _distribution(self, cap: int) -> np.ndarray:
         """Codeword counts by Hamming weight: the span of the last generator
         rows, at most one block of codewords, added to every combination of
-        the others."""
+        the others (if any)."""
         k = self.dim
         Q = self.field.size
         count = Q ** k
@@ -309,8 +345,9 @@ class LinearCode:
         while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
             low += 1
         layout = word_layout(self.field, self.length)
-        counts = layout.distributions(layout.span(self.gens[:k - low]),
-                                      layout.span(self.gens[k - low:])[None])[0]
+        parts = (self.gens[:k - low], self.gens[k - low:]) if k > low else (self.gens,)
+        counts = layout.distributions([layout.span(g)[None] for g in parts],
+                                      [0] * len(parts))[0]
         if int(counts.sum()) != count:
             raise InvariantError("weight distribution failed its sanity checks")
         return counts
@@ -490,6 +527,9 @@ def rows_to_strings(spec: FieldSpec, rows) -> list[list[str]]:
 
 def rows_from_strings(spec: FieldSpec, rows: list[list[str]], length: int) -> np.ndarray:
     """The codes of type-checked "generators" rows, as a (rows, length) matrix."""
+    for r, row in enumerate(rows):
+        if len(row) != length:
+            raise ValueError(f"generator row {r} has {len(row)} entries; expected {length}")
     codes = [[spec.from_string(s).code for s in row] for row in rows]
     return np.array(codes, dtype=np.int32).reshape(len(codes), length)
 

@@ -6,23 +6,35 @@ sums of one codeword from each piece.  The search weighs codes that way.
 
 Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
-minimum distance reaches the target; the span of each survivor (the base
-field's `WordLayout.span` of its flattened generators) is stored once, one
-row of packed words per codeword.  Later stages extend surviving id tuples
-one class at a time.  Candidates are selected with array masks (class
-order, dimension target, Singleton bound, subset closure), checked against
-the codeword cap, and all candidates of one dimension are weighed by one
-`WordLayout.distributions` call: the span of each is the field sum of the
-base span and its stored span.  The search is complete because every
-sub-assignment of a survivor is itself a survivor (a direct summand has at
-least the distance of the sum); the same fact prunes a candidate one of
-whose sub-assignments did not survive.  Results are deduplicated by
-(parameters, weight distribution) - a proxy for code equivalence, which is
-deliberately out of scope.
+minimum distance reaches the target; the outer codes of one class and one
+dimension are flattened, spanned (`WordLayout.span`, one row of packed words
+per codeword) and weighed together, and the span of each survivor is stored
+once.  Stage s + 1 extends the surviving id tuples of stage s by one id of a
+later class, level-synchronously: level s holds its tuples as the rows of an
+array, each with the rows of its s faces (the tuple less one id) in level
+s - 1 and a key (last face, last id), ascending.  The search is complete
+because every sub-assignment of a survivor is itself a survivor (a direct
+summand has at least the distance of the sum); the same fact prunes a
+candidate one of whose sub-assignments did not survive.  So a tuple is
+extended only by the last ids of its siblings (the rows that share its last
+face, one run of the sorted keys), and the other faces of each extension are
+looked up in the keys with one `np.searchsorted`; the positions found are
+the faces of the new survivors.  The frontier is taken in chunks of at most
+one block of weight counters: the candidate pairs of a chunk come from one
+`np.repeat`, are selected with array masks (dimension target, subset
+closure, Singleton bound) and checked against the codeword cap, and the
+candidates of one summand-dimension signature are weighed by one
+`WordLayout.distributions` call that sums the stored spans of their ids.
+A stage still counts as candidates all ids of later classes within the
+dimension target; those that are not siblings count among the pruned.
+Results are deduplicated by (parameters, weight distribution) - a proxy for
+code equivalence, which is deliberately out of scope - keeping the least
+assignment of each fingerprint, one `np.lexsort` per chunk.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -97,27 +109,30 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
     """Yield (outer, span, weight distribution) for every nonzero outer code
     of class i, up to the dimension target, whose concatenation meets the
     distance target, counting the candidates, the Singleton rejections and
-    the weighed codes in `counts`."""
+    the weighed codes in `counts`.  The outer codes of one dimension are
+    flattened, spanned and weighed together."""
     n = layout.length
     k_i = dec.classes[i].size
-    zero = layout.span([])
-    for outer in enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces):
-        if outer.dim == 0:
-            continue
-        dim = k_i * outer.dim
+    outers = enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces)
+    for r, group in itertools.groupby(outers, key=lambda c: c.dim):  # dimension-ascending
+        dim = k_i * r
         if spec.dim_target is not None and dim > spec.dim_target:
+            break
+        if r == 0:
             continue
-        counts["candidates"] += 1
+        group = list(group)
+        counts["candidates"] += len(group)
         # no [n, k, >= d_min] code exists beyond the Singleton bound
         if dim > n - spec.d_min + 1:
-            counts["singleton"] += 1
+            counts["singleton"] += len(group)
             continue
         _check_cap(spec, 1, n, dim)
-        counts["weighed"] += 1
-        span = layout.span(dec.flatten(i, outer.gens))
-        wd = layout.distributions(zero, span[None])[0]
-        if not wd[1:spec.d_min].any():
-            yield outer, span, wd
+        counts["weighed"] += len(group)
+        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))
+        wds = layout.distributions([spans], np.arange(len(group)))
+        for outer, span, wd in zip(group, spans, wds):
+            if not wd[1:spec.d_min].any():
+                yield outer, span, wd
 
 
 def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
@@ -170,104 +185,149 @@ def search(spec: SearchSpec) -> SearchResult:
                     dtype=np.int64)
     later = np.searchsorted(classes, classes, side="right")  # first id of a later class
     # the spans of each dimension stacked, and each id's slot in its stack
+    dim_values = np.unique(dims)
     slot = np.zeros(count, dtype=np.int64)
     stacks = {}
-    for k in np.unique(dims).tolist():
+    for k in dim_values.tolist():
         members = np.flatnonzero(dims == k)
         slot[members] = np.arange(len(members))
         stacks[k] = np.stack([spans[j] for j in members])
     # rank of each id under the (class, generator bytes) order of the output
     order = sorted(range(count), key=lambda j: (classes[j], outers[j].gens.tobytes()))
-    rank = [0] * count
-    for r, j in enumerate(order):
-        rank[j] = r
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
 
     # per weight distribution (as bytes): the rank key, id tuple and weight
     # distribution of the least assignment reaching it
     best: dict[bytes, tuple] = {}
 
-    def accept(base: tuple, ids: list[int], rows: np.ndarray) -> None:
-        """Record the survivors base + (j,) for j in ids, with weight
-        distributions `rows`."""
-        base_key = tuple(rank[j] for j in base)
-        width = rows.shape[1] * rows.itemsize
-        buf = rows.tobytes()
-        for t, j in enumerate(ids):
-            fp = buf[t * width:(t + 1) * width]
-            key = base_key + (rank[j],)
+    def accept(tuples: np.ndarray, wd: np.ndarray) -> None:
+        """Record the survivors `tuples` (one id tuple per row) with weight
+        distributions `wd`."""
+        if not len(tuples):
+            return
+        ranks = rank[tuples]
+        prints = wd.view(np.dtype((np.void, wd.shape[1] * wd.itemsize))).ravel()
+        # by fingerprint (row bytes), then rank: the first row of each
+        # fingerprint has its least rank
+        order = np.lexsort((*ranks.T[::-1], prints))
+        runs = wd[order]
+        first = order[np.r_[True, (runs[1:] != runs[:-1]).any(axis=1)]]
+        for t in first.tolist():
+            fp, key = wd[t].tobytes(), tuple(ranks[t].tolist())
             held = best.get(fp)
             if held is None or key < held[0]:
-                best[fp] = (key, base + (j,), rows[t])
+                best[fp] = (key, tuple(tuples[t].tolist()), wd[t].copy())
 
-    accept((), list(range(count)), np.array(wds, dtype=np.int64).reshape(count, n + 1))
+    accept(np.arange(count)[:, None], np.array(wds, dtype=np.int64).reshape(count, n + 1))
+    del spans, wds  # views of the stage-1 blocks
 
-    # A surviving tuple joins the frontier only if it has a candidate: an id of
-    # a later class whose dimension fits the target.  `room` is the smallest
-    # dimension among the ids of later classes (0 where there are none).
-    dims_l, later_l = dims.tolist(), later.tolist()
-    room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later].tolist()
+    # Level s holds the surviving id tuples of s classes as the rows of `ids`,
+    # their dimensions, the rows in level s - 1 of their s faces (the tuple
+    # less one id; the last face drops the last id) and the keys
+    # last face * count + last id, ascending.  Level 0 is the empty tuple.
+    ids, level_dims = np.arange(count)[:, None], dims
+    faces, keys = np.zeros((count, 1), dtype=np.int64), np.arange(count)
+    # the smallest dimension among the ids of later classes (0 where there are none)
+    room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later]
+    too_big = np.array([spec.q ** k > spec.caps.codewords for k in range(n + 1)])
+    # later_of_dim[v, x]: the number of ids from x on of dimension dim_values[v]
+    later_of_dim = np.zeros((len(dim_values), count + 1), dtype=np.int64)
+    later_of_dim[:, :-1] = np.cumsum((dims == dim_values[:, None])[:, ::-1], axis=1)[:, ::-1]
 
-    def grows(j: int, dim: int) -> bool:
-        return later_l[j] < count and (dim_target is None or dim + room[j] <= dim_target)
+    def weigh_chunk(stage: int, rows: np.ndarray, first: np.ndarray, width: np.ndarray,
+                    counts: dict):
+        """Select and weigh the extensions of the frontier rows `rows` by
+        the ids of the level rows first..first + width - 1 (their siblings
+        with an id of a later class), count them, accept the survivors and
+        return their level rows (None if there are none)."""
+        base = np.repeat(rows, width)
+        sibling = np.arange(len(base)) + np.repeat(first - np.cumsum(width) + width, width)
+        j = ids[sibling, -1]
+        cand_dims = level_dims[base] + dims[j]
+        if dim_target is not None:
+            fits = cand_dims <= dim_target
+            base, sibling, j, cand_dims = base[fits], sibling[fits], j[fits], cand_dims[fits]
+        # every sub-assignment of a survivor must itself survive (a direct
+        # summand has at least the distance of the sum): each other face of
+        # the base tuple plus j is a row of this level
+        face_keys = faces[base, :-1] * count + j[:, None]
+        at = np.searchsorted(keys, face_keys)
+        closed = (keys[np.minimum(at, len(keys) - 1)] == face_keys).all(axis=1)
+        picked = closed & (cand_dims <= n - d_min + 1)
+        kept, weighed = int(np.count_nonzero(closed)), int(np.count_nonzero(picked))
+        counts["pruned"] -= kept
+        counts["singleton"] += kept - weighed
+        counts["weighed"] += weighed
+        if not weighed:
+            return None
+        base, sibling, at = base[picked], sibling[picked], at[picked]
+        j, cand_dims = j[picked], cand_dims[picked]
+        over = too_big[cand_dims]
+        if over.any():  # refused at the first frontier tuple with a candidate over the cap
+            row = base[np.argmax(over)]
+            _check_cap(spec, stage, n, int(cand_dims[base == row].max()))
+        # candidates with the same summand dimensions are weighed at once
+        tuples = np.column_stack([ids[base], j])
+        signatures = dims[tuples]
+        order = np.lexsort(signatures.T)
+        signatures = signatures[order]
+        starts = np.flatnonzero(np.r_[True, (signatures[1:] != signatures[:-1]).any(axis=1)])
+        survived = []
+        for members, signature in zip(np.split(order, starts[1:]), signatures[starts].tolist()):
+            wd = layout.distributions([stacks[k] for k in signature], slot[tuples[members]])
+            good = ~wd[:, 1:d_min].any(axis=1)
+            accept(tuples[members[good]], wd[good])
+            survived.append(members[good])
+            del wd  # freed before the next group is weighed
+        good = np.sort(np.concatenate(survived))
+        if not len(good):
+            return None
+        return (tuples[good], cand_dims[good],
+                np.column_stack([at[good], sibling[good], base[good]]),
+                base[good] * count + j[good])
 
-    # extend[ids] marks, over the ids of later classes, the extensions of a
-    # surviving tuple that survived too; the empty tuple extends to every id
-    extend = {(): np.ones(count, dtype=bool)}
-    frontier = [((j,), dims_l[j]) for j in range(count) if grows(j, dims_l[j])]
     survivors = count
     stage = 1
     while survivors:
         stage += 1
         start_time = time.perf_counter()
         counts = {"candidates": 0, "pruned": 0, "singleton": 0, "weighed": 0}
-        survivors = 0
-        new: list[tuple] = []
-        next_extend: dict[tuple, np.ndarray] = {}
-        for base, base_dim in frontier:
-            start = later_l[base[-1]]
-            cand_dims = base_dim + dims[start:]
-            closed = (np.ones(count - start, dtype=bool) if dim_target is None
-                      else cand_dims <= dim_target)
-            considered = int(np.count_nonzero(closed))
-            # every sub-assignment of a survivor must itself survive
-            # (a direct summand has at least the distance of the sum)
-            for drop in range(len(base)):
-                sub = base[:drop] + base[drop + 1:]
-                mask = extend.get(sub)
-                if mask is None:
-                    closed[:] = False
-                    break
-                closed &= mask[start - (later_l[sub[-1]] if sub else 0):]
-            kept = int(np.count_nonzero(closed))
-            picked = np.flatnonzero(closed & (cand_dims <= n - d_min + 1))
-            counts["candidates"] += considered
-            counts["pruned"] += considered - kept
-            counts["singleton"] += kept - len(picked)
-            counts["weighed"] += len(picked)
-            if not len(picked):
-                continue
-            _check_cap(spec, stage, n, int(cand_dims[picked].max()))
-            base_span = layout.sum_span([spans[j] for j in base])
-            ids = start + picked
-            weights = np.empty((len(ids), n + 1), dtype=np.int64)
-            for k in np.unique(dims[ids]).tolist():
-                sel = dims[ids] == k
-                weights[sel] = layout.distributions(base_span, stacks[k][slot[ids[sel]]])
-            good = np.flatnonzero(~weights[:, 1:d_min].any(axis=1))
-            if not len(good):
-                continue
-            survived = np.zeros(count - start, dtype=bool)
-            survived[picked[good]] = True
-            next_extend[base] = survived
-            good_ids = ids[good].tolist()
-            survivors += len(good_ids)
-            accept(base, good_ids, weights[good])
-            for j in good_ids:
-                if grows(j, base_dim + dims_l[j]):
-                    new.append((base + (j,), base_dim + dims_l[j]))
+        # the frontier: tuples with a candidate, an id of a later class that
+        # fits the dimension target
+        last = ids[:, -1]
+        live = later[last] < count
+        if dim_target is not None:
+            live &= level_dims + room[last] <= dim_target
+        frontier = np.flatnonzero(live)
+        start = later[last[frontier]]
+        if dim_target is None:
+            counts["candidates"] = int((count - start).sum())
+        else:
+            fit = dim_values[:, None] <= dim_target - level_dims[frontier]
+            counts["candidates"] = int(later_of_dim[:, start][fit].sum())
+        counts["pruned"] = counts["candidates"]  # less the candidates kept
+        # a candidate extends its tuple's last face, the parent, like the
+        # tuple itself: it is the last id of a sibling row, one of a later class
+        parent = faces[frontier, -1] * count
+        first = np.searchsorted(keys, parent + start)
+        widths = np.searchsorted(keys, parent + count) - first
+        ends = np.cumsum(widths)
+        levels = []
+        a = 0
+        while a < len(frontier):
+            # a chunk of frontier rows with at most one batch of pairs (one row at least)
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + layout.batch,
+                                               side="right")))
+            level = weigh_chunk(stage, frontier[a:b], first[a:b], widths[a:b], counts)
+            if level is not None:
+                levels.append(level)
+            a = b
+        survivors = sum(len(level[0]) for level in levels)
         stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
-        extend = next_extend
-        frontier = new
+        if survivors:
+            ids, level_dims, faces, keys = (np.concatenate(parts) for parts in zip(*levels))
+        del levels  # the chunks' copies of the new level
 
     # fingerprint deduplication, deterministic order
     unique = []

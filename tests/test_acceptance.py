@@ -159,6 +159,18 @@ def test_c08_search_regression(index, d_min, want):
     assert rebuilt_ok, "a reported entry fails the is_qa or weight-distribution rebuild"
 
 
+def test_search_50_12_18_census():
+    """The paper's headline code, rediscovered by exhaustive search: over
+    C5 x C5 at index 2 exactly one weight distribution of a binary [50,12]
+    quasi-abelian code reaches distance 18, that of qa_50_12_18."""
+    res = search(SearchSpec(q=2, group=G55, index=2, d_min=18, dim_target=12))
+    want = tuple(int(x) for x in qa_50_12_18().flattened.weight_distribution())
+    assert [e.fingerprint for e in res.codes] == [(50, 12, want)]
+    flat = qa_from_constituents(G55, 2, 2, dict(res.codes[0].assignment)).flattened
+    assert is_qa(flat, G55)
+    assert tuple(int(x) for x in flat.weight_distribution()) == want
+
+
 def test_c09_lcd_family_property():
     outers = builtin_lcd_outers(2, 4)
     checked = 0

@@ -258,6 +258,9 @@ def test_xi_is_the_first_power_of_the_generator_of_its_order(q, t):
 def test_fields_past_byte_sized_digits(q, t):
     # a digit sum 2(p - 1) no longer fits in a byte
     spec = FieldSpec(q, t)
+    # the smallest code of full order: 3 is the least primitive root mod 257,
+    # and in F_257^2 no constant has order 257^2 - 1, so x (code 257) is first
+    assert spec.generator == {1: 3, 2: 257}[t]
     assert all(ok for _, ok, _ in field_axiom_checks(spec, random.Random(q * t)))
     A = np.arange(spec.size)
     assert not spec.vadd(spec.vneg(A), A).any()

@@ -208,13 +208,28 @@ def test_non_object_descriptor_exits_2(capsys, tmp_path, command, doc):
      "constituents": [{"class_member": [1, 0], "generators": [[1, 0]]}]},
     {"q": None, "group": [3, 3], "index": 2},
     {"q": 2, "group": [3, 3], "index": True},
-], ids=["group", "constituent", "element", "q", "bool"])
+    {"q": 2, "group": [3, 3], "index": 2,
+     "constituents": [{"class_member": [1, 0], "generators": [["10", "01", "11"]]}]},
+], ids=["group", "constituent", "element", "q", "bool", "row-length"])
 def test_mistyped_descriptor_exits_2(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "--no-banner", "construct", "--code", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("rows,row,got", [
+    ([["1", "0"]], 0, 2),
+    ([["1", "0", "1"], ["1", "1"]], 1, 2),
+], ids=["short", "ragged"])
+def test_generator_row_of_the_wrong_length_exits_2(capsys, tmp_path, rows, row, got):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"q": 2, "modulus": [1, 1], "field_degree": 1,
+                                "length": 3, "generators": rows}))
+    code, out, err = run(capsys, "--no-banner", "distance", "--code", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: generator row {row} has {got} entries; expected 3"
 
 
 # one value of each JSON type; every one is small, so a mistyped key is

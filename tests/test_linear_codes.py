@@ -172,8 +172,9 @@ def test_distributions_reject_dependent_spans():
     layout = linear_codes.word_layout(F3, 5)
     rows = [[1, 2, 0, 0, 1], [0, 1, 1, 2, 0]]
     with pytest.raises(InvariantError):
-        layout.distributions(layout.span(rows), layout.span(rows[1:])[None])
-    got = layout.distributions(layout.span(rows[:1]), layout.span(rows[1:])[None])[0]
+        layout.distributions([layout.span(rows)[None], layout.span(rows[1:])[None]], [0, 0])
+    got = layout.distributions([layout.span(rows[:1])[None], layout.span(rows[1:])[None]],
+                               [0, 0])[0]
     assert got.tolist() == LinearCode(F3, 5, rows).weight_distribution().tolist()
 
 

@@ -120,17 +120,34 @@ def test_search_keeps_least_assignment_per_fingerprint():
     ]
 
 
+def _stage_counts(result):
+    return ([{k: v for k, v in s.items() if k not in ("seconds", "weighed_per_s")}
+             for s in result.stats["stages"]],
+            result.stats["accepted"], result.stats["distinct"])
+
+
 def test_search_streams_large_sums(monkeypatch):
-    """Blocks smaller than one candidate's span give the same result."""
+    """Blocks smaller than one candidate's span, and stages taken a few
+    frontier tuples at a time, give the same result and the same counts."""
     specs = [SearchSpec(q=2, group=G33, index=2, d_min=8),
              SearchSpec(q=3, group=AbelianGroup((2, 2)), index=2, d_min=3)]
     whole = [search(spec) for spec in specs]
-    monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", 3)
-    for spec, want in zip(specs, whole):
-        got = search(spec)
-        assert [(e.assignment, e.fingerprint) for e in got.codes] == \
-            [(e.assignment, e.fingerprint) for e in want.codes]
-        assert got.stats["accepted"] == want.stats["accepted"]
+    # at 3 every candidate of a later stage (two summands at least, so q^2
+    # codewords or more) spans several blocks; at 64 small candidates also
+    # share a block
+    for block in (3, 64):
+        monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+        for spec, want in zip(specs, whole):
+            got = search(spec)
+            assert [(e.assignment, e.fingerprint) for e in got.codes] == \
+                [(e.assignment, e.fingerprint) for e in want.codes]
+            assert _stage_counts(got) == _stage_counts(want)
+            # each later stage spans several chunks: it generates at least its
+            # unpruned candidates as pairs, more than two batches of them
+            n = spec.group.size * spec.index
+            batch = word_layout(decompose_algebra(spec.group, spec.q).spec.subfield(1), n).batch
+            assert all(s["candidates"] - s["pruned"] > 2 * batch
+                       for s in got.stats["stages"][1:] if s["candidates"])
 
 
 def _random_outer(rng, field, length, dim):
@@ -171,13 +188,16 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
                 assignment[i] = _random_outer(rng, dec.spec.subfield(k), index, r)
                 dim += k * r
         *first, last = sorted(assignment)
-        spans = [layout.span(dec.flatten(i, assignment[i].gens)) for i in first]
-        base = layout.sum_span(spans) if spans else layout.span([])
+        stacks = [layout.span(dec.flatten(i, assignment[i].gens))[None] for i in first]
         # three candidates of the same dimension for the last class, weighed at once
         field, r = dec.spec.subfield(dec.classes[last].size), assignment[last].dim
         outers = [assignment[last]] + [_random_outer(rng, field, index, r) for _ in range(2)]
-        got = layout.distributions(
-            base, np.stack([layout.span(dec.flatten(last, c.gens)) for c in outers]))
+        last_spans = np.stack([layout.span(dec.flatten(last, c.gens)) for c in outers])
+        # a stack of codes flattens and spans to the stack of their spans
+        assert np.array_equal(
+            layout.span(dec.flatten(last, np.stack([c.gens for c in outers]))), last_spans)
+        got = layout.distributions(stacks + [last_spans],
+                                   [[0] * len(first) + [c] for c in range(len(outers))])
         for outer, row in zip(outers, got):
             qa = qa_from_constituents(group, q, index, {**assignment, last: outer})
             assert row.tolist() == qa.flattened.weight_distribution().tolist()
