@@ -19,7 +19,10 @@ evaluation -- is `vdot` or `vtrace`, built on `vsum`.
 
 Group elements are coordinate tuples ordered mixed-radix lexicographically
 with the rightmost coordinate varying fastest; that single ordering fixes
-every coefficient-vector layout downstream.
+every coefficient-vector layout downstream.  The group-algebra product is
+one function, `convolve`, on stacks of coefficient vectors, through the
+group's difference table; the characters are one table, the designated root
+of unity raised to the group's matrix of character exponents.
 """
 
 from __future__ import annotations
@@ -671,6 +674,21 @@ class AbelianGroup:
         orders = np.array(self.orders, dtype=np.int64)
         return (((-cm) % orders) @ np.array(self._strides, dtype=np.int64)).astype(np.int32)
 
+    @cached_property
+    def diff_table(self) -> np.ndarray:
+        """diff_table[g, h] = index of elements[h] - elements[g]; row g is the
+        coefficient permutation of multiplication by the monomial at g."""
+        return self.add_table[self.neg_table]
+
+    @cached_property
+    def character_exponents(self) -> np.ndarray:
+        """E[a, h] = sum_i a_i h_i M/m_i mod M for the exponent M: the value
+        of the character indexed by a at h is xi^E[a, h] for a primitive
+        M-th root of unity xi."""
+        cm = self._coord_matrix
+        weights = np.array([self.exponent // m for m in self.orders], dtype=np.int64)
+        return (cm * weights) @ cm.T % self.exponent
+
     def scalar_table(self, c: int) -> np.ndarray:
         """Index permutation of h -> c*h."""
         cm = self._coord_matrix
@@ -749,18 +767,26 @@ def build_tower(q: int, group: AbelianGroup, modulus: Sequence[int] | None = Non
     return FieldSpec(q, t, modulus=modulus, root_order=M)
 
 
+def _check_root_order(group: AbelianGroup, spec: FieldSpec) -> None:
+    if spec.root_order != group.exponent:
+        raise ValueError(f"field was built for root order {spec.root_order}, "
+                         f"group has exponent {group.exponent}")
+
+
+def character_table(group: AbelianGroup, spec: FieldSpec) -> np.ndarray:
+    """table[a, h] = value of the character indexed by a at h: the field's
+    designated root of unity raised to the group's character exponents."""
+    _check_root_order(group, spec)
+    return spec.vpow(spec.xi_code, group.character_exponents)
+
+
 def character(a: GroupElement, h: GroupElement, spec: FieldSpec) -> FieldElement:
-    """Value of the character indexed by a at the group element h, computed
-    as the designated root of unity raised to sum_i a_i h_i M/m_i.
-    """
+    """Value of the character indexed by a at the group element h: one entry
+    of the character table."""
     if a.group != h.group:
         raise ValueError("character index and argument live in different groups")
-    M = a.group.exponent
-    if spec.root_order != M:
-        raise ValueError(
-            f"field was built for root order {spec.root_order}, group has exponent {M}")
-    e = sum(ai * hi * (M // m) for ai, hi, m in zip(a.coords, h.coords, a.group.orders)) % M
-    return spec.xi ** e
+    _check_root_order(a.group, spec)
+    return spec.xi ** int(a.group.character_exponents[a.index, h.index])
 
 
 def subfield_trace(x: FieldElement, k: int) -> FieldElement:
@@ -776,6 +802,19 @@ def subfield_trace(x: FieldElement, k: int) -> FieldElement:
 
 # ---------------------------------------------------------------------------
 # group algebra
+
+def convolve(spec: FieldSpec, group: AbelianGroup, a, b) -> np.ndarray:
+    """The group-algebra product of coefficient stacks: the group on the
+    last axis, leading axes broadcast as in numpy.  The coefficient at h is
+    the sum over g of a[..., g] * b[..., h - g], one `vdot` against the
+    gather of b through the group's difference table."""
+    a = np.asarray(a, dtype=np.int32)
+    b = np.asarray(b, dtype=np.int32)
+    if a.shape[-1:] != (group.size,) or b.shape[-1:] != (group.size,):
+        raise ValueError(f"group-algebra operands need {group.size} coefficients "
+                         f"on the last axis, got shapes {a.shape} and {b.shape}")
+    return spec.vdot(a[..., None, :], b[..., group.diff_table])[..., 0, :]
+
 
 class GroupAlgebraElement:
     """An element of the group algebra: one field coefficient per group
@@ -850,9 +889,8 @@ class GroupAlgebraElement:
         if isinstance(other, FieldElement):
             return self.scale(other.code)
         self._check(other)
-        # coefficient at h is the sum over g of self[g] * other[h - g]
-        shifted = other.coeffs[self.group.add_table[self.group.neg_table]]
-        return GroupAlgebraElement(self.group, self.spec, self.spec.vdot(self.coeffs, shifted))
+        return GroupAlgebraElement(self.group, self.spec,
+                                   convolve(self.spec, self.group, self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -864,8 +902,8 @@ class GroupAlgebraElement:
 
     def translate(self, g: GroupElement) -> "GroupAlgebraElement":
         """Multiplication by the monomial at g (a coefficient permutation)."""
-        perm = self.group.add_table[self.group.neg_table[g.index]]
-        return GroupAlgebraElement(self.group, self.spec, self.coeffs[perm])
+        return GroupAlgebraElement(self.group, self.spec,
+                                   self.coeffs[self.group.diff_table[g.index]])
 
     def __pow__(self, e: int):
         if e < 0:

@@ -267,17 +267,18 @@ def _cmd_family(args) -> int:
 def _cmd_verify_paper(args) -> int:
     checks = run_reference_suite(seed=args.seed)
     _banner(args)
+    all_ok = all(ok for _, ok, _, _ in checks)
     if args.json:
-        _emit_json({"checks": [{"name": n, "ok": ok, "detail": d}
-                               for n, ok, d in checks],
-                    "all_ok": all(ok for _, ok, _ in checks)})
+        _emit_json({"checks": [{"name": n, "ok": ok, "detail": d, "seconds": s}
+                               for n, ok, d, s in checks],
+                    "all_ok": all_ok})
     else:
-        for name, ok, detail in checks:
+        for name, ok, detail, _ in checks:
             line = f"{'PASS' if ok else 'FAIL'}  {name}"
             if detail:
                 line += f"  ({detail})"
             print(line)
-    if not all(ok for _, ok, _ in checks):
+    if not all_ok:
         raise InvariantError("reference suite regression")
     return 0
 

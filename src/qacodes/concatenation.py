@@ -163,7 +163,7 @@ def is_qa(code: LinearCode, group: AbelianGroup) -> bool:
     ell = code.length // group.size
     m = group.size
     # row h - 1: the coordinate permutation of translation by h, for h != 0
-    perms = group.add_table[group.neg_table[1:]]
+    perms = group.diff_table[1:]
     full = (perms[:, None, :] + m * np.arange(ell)[:, None]).reshape(m - 1, code.length)
     return code.contains(code.gens[:, full].reshape(-1, code.length))
 

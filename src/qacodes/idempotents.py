@@ -19,7 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (AbelianGroup, FieldElement, FieldSpec, GroupAlgebraElement,
-                      GroupElement, build_tower, character)
+                      GroupElement, _check_root_order, build_tower, character_table,
+                      convolve)
 from .errors import InvariantError
 from .linear_codes import LinearCode, rank
 
@@ -66,13 +67,10 @@ def character_idempotent(x: GroupElement, spec: FieldSpec) -> GroupAlgebraElemen
     """Primitive idempotent of the split algebra K[H] attached to the
     character indexed by x: (1/|H|) * sum_a chi_x(-a) Y^a."""
     group = x.group
-    m = group.size
-    inv_m = spec.inv(m % spec.p)
-    coeffs = np.zeros(group.size, dtype=np.int32)
-    for a in group.elements:
-        val = character(x, -a, spec)
-        coeffs[a.index] = spec.mul(inv_m, val.code)
-    return GroupAlgebraElement(group, spec, coeffs)
+    _check_root_order(group, spec)
+    # the row of x in the character table, read at -a
+    chi = spec.vpow(spec.xi_code, group.character_exponents[x.index, group.neg_table])
+    return GroupAlgebraElement(group, spec, spec.vmul(spec.inv(group.size % spec.p), chi))
 
 
 def class_idempotent(cls: CyclotomicClass, spec: FieldSpec) -> GroupAlgebraElement:
@@ -105,15 +103,13 @@ class SemisimpleDecomposition:
             for g in cls.members:
                 self._class_of_index[g.index] = i
 
-        # chi_row[i][j] = chi_{rep_i}(h_j);  chi_neg_row picks up -h_j instead
+        # characters[a, h] = chi_a(h); chi_row[i][j] = chi_{rep_i}(h_j) and
+        # chi_neg_row picks up -h_j instead
         spec = self.spec
-        self._chi_row = []
-        self._chi_neg_row = []
-        for cls in self.classes:
-            row = np.array([character(cls.rep, h, spec).code for h in group.elements],
-                           dtype=np.int32)
-            self._chi_row.append(row)
-            self._chi_neg_row.append(row[group.neg_table])
+        self.characters = character_table(group, spec)
+        self.characters.setflags(write=False)
+        self._chi_row = self.characters[[cls.rep.index for cls in self.classes]]
+        self._chi_neg_row = self._chi_row[:, group.neg_table]
 
         self._inv_m = spec.inv(group.size % spec.p)
 
@@ -184,11 +180,18 @@ class SemisimpleDecomposition:
         (that element) * e_i."""
         return self.spec.vdot(coeffs, self._chi_row[i])
 
+    def in_ideal(self, i: int, coeffs) -> np.ndarray:
+        """Whether each coefficient vector (last axis) of an array of any
+        leading shape lies in the i-th minimal ideal: r * e_i == r."""
+        coeffs = np.asarray(coeffs, dtype=np.int32)
+        prods = convolve(self.spec, self.group, coeffs, self.idempotents[i].coeffs)
+        return (prods == coeffs).all(axis=-1)
+
     def project(self, i: int, r: GroupAlgebraElement) -> FieldElement:
         """Field image of an element of the i-th minimal ideal."""
         if r.group != self.group or not r.spec.same_presentation(self.spec):
             raise ValueError("element does not live in this group algebra")
-        if r * self.idempotents[i] != r:
+        if not self.in_ideal(i, r.coeffs):
             raise ValueError(f"element is not in the minimal ideal of class {i}")
         return FieldElement(self.spec, int(self.char_project(i, r.coeffs)))
 
@@ -256,13 +259,15 @@ class SemisimpleDecomposition:
         in `identities` as (identity, where, holds); the first that fails
         raises InvariantError naming the identity and the class."""
         spec, es = self.spec, self.idempotents
+        E = np.stack([e.coeffs for e in es])
         results = [("sum of idempotents = 1", "all classes",
                     sum(es[1:], es[0]) == GroupAlgebraElement.one(self.group, spec))]
         for i, (cls, e) in enumerate(zip(self.classes, es)):
             basis, where = self._power_basis[i], f"class {i}"
+            prods = convolve(spec, self.group, e.coeffs, E[i:])  # e_i * e_j for j >= i
             results += [
-                ("e^2 = e", where, e * e == e),
-                *(("orthogonality", f"classes {i} and {j}", not (e * es[j]).weight())
+                ("e^2 = e", where, np.array_equal(prods[0], e.coeffs)),
+                *(("orthogonality", f"classes {i} and {j}", not prods[j - i].any())
                   for j in range(i + 1, len(es))),
                 ("ideal rank = class size", where,
                  rank(spec.subfield(1), self._psi_matrix[i]) == cls.size),

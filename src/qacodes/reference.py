@@ -10,6 +10,8 @@ exposes all of it as the `verify-paper` subcommand.
 
 from __future__ import annotations
 
+import time
+
 from .algebra import AbelianGroup
 from .concatenation import (QACode, constituents_of, distance_bound, gcc_build,
                             gcc_scheme_from_qa, is_qa, predict_params,
@@ -103,9 +105,19 @@ def predict_164025(full_sum_distance: int = 4) -> CodeParams:
                           [CodeParams(6561, 5076, 55)] * 4, [4, 4, 4, 4])
 
 
-def run_reference_suite(seed: int = 0) -> list[Check]:
-    """Every reproduction check, as (name, ok, detail) rows."""
-    checks: list[Check] = []
+def run_reference_suite(seed: int = 0) -> list[tuple[str, bool, str, float]]:
+    """Every reproduction check, as (name, ok, detail, seconds) rows: seconds
+    is the wall time of the step that produced the row (one reference build,
+    one identity-suite pair, ...), the same for every row of that step."""
+    checks: list[tuple[str, bool, str, float]] = []
+    lap = time.perf_counter()
+
+    def step(*rows: Check) -> None:
+        """Record the rows of the step that ends now."""
+        nonlocal lap
+        now = time.perf_counter()
+        checks.extend((*row, now - lap) for row in rows)
+        lap = now
 
     built: dict[str, QACode] = {}
     for name, (builder, want, want_bound) in REFERENCE_INSTANCES.items():
@@ -113,27 +125,25 @@ def run_reference_suite(seed: int = 0) -> list[Check]:
         built[name] = qa
         params = qa.params()
         got = (params.length, params.dim, params.distance)
-        checks.append((f"{name} construction", got == want,
-                       f"got [{got[0]},{got[1]},{got[2]}]"))
         bound = distance_bound(qa)
-        checks.append((f"{name} concatenation bound", bound == want_bound,
-                       f"got {bound}, expected {want_bound}"))
+        step((f"{name} construction", got == want, f"got [{got[0]},{got[1]},{got[2]}]"),
+             (f"{name} concatenation bound", bound == want_bound,
+              f"got {bound}, expected {want_bound}"))
 
     singles, prefix = binary_inner_data()
     ok = all((c.length, c.dim, c.min_distance()) == (25, 4, 10) for c in singles)
-    checks.append(("binary inner ideals are [25,4,10]", ok,
-                   f"nested-sum distances {prefix}"))
-    checks.append(("four-ideal sum has distance 4", prefix[3] == 4, f"got {prefix[3]}"))
+    step(("binary inner ideals are [25,4,10]", ok, f"nested-sum distances {prefix}"),
+         ("four-ideal sum has distance 4", prefix[3] == 4, f"got {prefix[3]}"))
 
     p1 = predict_6400()
-    checks.append(("predicted [6400,3216,>=48]",
-                   (p1.length, p1.dim) == (6400, 3216) and p1.distance_lower_bound >= 48,
-                   str(p1)))
+    step(("predicted [6400,3216,>=48]",
+          (p1.length, p1.dim) == (6400, 3216) and p1.distance_lower_bound >= 48,
+          str(p1)))
     p2 = predict_164025()
-    checks.append(("predicted [164025,81216,>=220]",
-                   (p2.length, p2.dim) == (164025, 81216)
-                   and p2.distance_lower_bound >= 220,
-                   str(p2)))
+    step(("predicted [164025,81216,>=220]",
+          (p2.length, p2.dim) == (164025, 81216)
+          and p2.distance_lower_bound >= 220,
+          str(p2)))
 
     for name, qa in built.items():
         flat = qa.flattened
@@ -142,14 +152,12 @@ def run_reference_suite(seed: int = 0) -> list[Check]:
         ok = ok and back == qa.constituents()
         ok = ok and gcc_build(gcc_scheme_from_qa(qa)) == flat
         ok = ok and flat.min_distance() >= distance_bound(qa)
-        checks.append((f"{name} decomposition round trip and inner/outer equality",
-                       ok, ""))
+        step((f"{name} decomposition round trip and inner/outer equality", ok, ""))
 
     for q, orders in IDENTITY_SUITE_PAIRS:
         suite = run_identity_suite(q, orders, seed=seed)
         ok = all(c[1] for c in suite)
         detail = "; ".join(n for n, good, _ in suite if not good) or \
             f"{len(suite)} checks"
-        checks.append((f"identity suite q={q}, H={'x'.join(map(str, orders))}",
-                       ok, detail))
+        step((f"identity suite q={q}, H={'x'.join(map(str, orders))}", ok, detail))
     return checks

@@ -27,6 +27,9 @@ candidates of one summand-dimension signature are weighed by one
 `WordLayout.distributions` call that sums the stored spans of their ids.
 A stage still counts as candidates all ids of later classes within the
 dimension target; those that are not siblings count among the pruned.
+A dimension target whose codewords exceed the cap is settled after stage
+1: refused if one survivor dimension from each of some set of distinct
+classes adds up to it, an empty result otherwise.
 Results are deduplicated by (parameters, weight distribution) - a proxy for
 code equivalence, which is deliberately out of scope - keeping the least
 assignment of each fingerprint, one `np.lexsort` per chunk.
@@ -103,6 +106,16 @@ def _check_cap(spec: SearchSpec, stage: int, n: int, dim: int) -> None:
         raise CapExceededError(
             f"search stage {stage}: codeword enumeration for [{n},{dim}]",
             spec.q ** dim, spec.caps.codewords)
+
+
+def _reaches(classes: list[int], dims: np.ndarray, target: int) -> bool:
+    """Whether one dimension from each of some set of distinct classes (ids
+    in class order) adds up to `target`."""
+    sums = {0}
+    for _, members in itertools.groupby(zip(classes, dims.tolist()), key=lambda t: t[0]):
+        options = {k for _, k in members}
+        sums |= {s + k for s in sums for k in options if s + k <= target}
+    return target in sums
 
 
 def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
@@ -288,6 +301,12 @@ def search(spec: SearchSpec) -> SearchResult:
                 base[good] * count + j[good])
 
     survivors = count
+    # a dimension target past the codeword cap is refused now if survivors
+    # of distinct classes can add up to it; otherwise no code meets it
+    if dim_target is not None and spec.q ** dim_target > spec.caps.codewords:
+        if _reaches(classes, dims, dim_target):
+            _check_cap(spec, 1, n, dim_target)
+        survivors = 0
     stage = 1
     while survivors:
         stage += 1

@@ -1,6 +1,7 @@
 """Field, group, character and group-algebra arithmetic."""
 
 import functools
+import itertools
 import math
 import random
 import re
@@ -11,9 +12,9 @@ import pytest
 
 import qacodes
 from qacodes.algebra import (AbelianGroup, FieldSpec, GroupAlgebraElement,
-                             build_tower, character, default_modulus,
-                             is_irreducible, multiplicative_order, prime_power,
-                             subfield_trace)
+                             build_tower, character, character_table, convolve,
+                             default_modulus, is_irreducible, multiplicative_order,
+                             prime_power, subfield_trace)
 from qacodes.diagnostics import field_axiom_checks
 
 def test_prime_power():
@@ -408,6 +409,61 @@ def test_group_algebra_examples():
     assert sq == want
     assert s ** 2 == sq
     assert y10.translate(g.element((0, 1))) == y10 * y01
+
+
+def _python_product(spec, group, a, b):
+    """Sum over g of a[g] * b[h - g] for each h, one coefficient at a time."""
+    out = []
+    for h in group.elements:
+        total = 0
+        for g in group.elements:
+            total = spec.add(total, spec.mul(int(a[g.index]), int(b[(h - g).index])))
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("orders", [(3, 3), (2, 2), (5,), (4, 2)])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_convolve_against_python_sum(q, orders):
+    group = AbelianGroup(orders)
+    spec = FieldSpec(q, 2)  # the product needs no roots of unity
+    n = group.size
+    rng = np.random.default_rng(q * 100 + n)
+    a = rng.integers(spec.size, size=(4, n))
+    b = rng.integers(spec.size, size=(4, n))
+    got = convolve(spec, group, a, b)
+    assert got.shape == (4, n)
+    for s in range(4):
+        assert got[s].tolist() == _python_product(spec, group, a[s], b[s])
+        x, y = (GroupAlgebraElement(group, spec, v[s]) for v in (a, b))
+        assert (x * y).coeffs.tolist() == got[s].tolist()
+    # an (s, t, n) stack against a (t, n) one and against one element
+    a3 = rng.integers(spec.size, size=(2, 3, n))
+    got3 = convolve(spec, group, a3, b[:3])
+    assert got3.shape == (2, 3, n)
+    by_one = convolve(spec, group, a3, b[3])
+    for s, t in itertools.product(range(2), range(3)):
+        assert got3[s, t].tolist() == _python_product(spec, group, a3[s, t], b[t])
+        assert by_one[s, t].tolist() == _python_product(spec, group, a3[s, t], b[3])
+    with pytest.raises(ValueError, match="coefficients"):
+        convolve(spec, group, a[:, :-1], b)
+
+
+@pytest.mark.parametrize("q, orders", [(2, (3, 3)), (2, (5,)), (3, (2, 2)), (3, (5,)),
+                                       (3, (4, 2)), (4, (3, 3)), (4, (5,))])
+def test_character_table_against_python_exponents(q, orders):
+    group = AbelianGroup(orders)
+    spec = build_tower(q, group)
+    table = character_table(group, spec)
+    M = group.exponent
+    for a in group.elements:
+        for h in group.elements:
+            e = sum(ai * hi * (M // m) for ai, hi, m in zip(a.coords, h.coords, orders))
+            want = spec.pow_(spec.xi_code, e)
+            assert int(table[a.index, h.index]) == want
+            assert character(a, h, spec).code == want
+    with pytest.raises(ValueError, match="root order"):
+        character_table(group, FieldSpec(q, spec.tower_degree))
 
 
 def test_group_algebra_against_naive_convolution():

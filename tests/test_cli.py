@@ -2,12 +2,15 @@
 
 import json
 import random
+import time
 
 import pytest
 
-from qacodes import reference
+from qacodes import diagnostics, reference
+from qacodes.algebra import AbelianGroup
 from qacodes.cli import main
 from qacodes.concatenation import qa_to_descriptor
+from qacodes.idempotents import SemisimpleDecomposition
 from qacodes.linear_codes import code_to_descriptor
 from qacodes.reference import qa_27_6_12
 
@@ -134,6 +137,29 @@ def test_verify_paper(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert any("[50,12,18]" in l for l in lines)
+    code, out, _ = run(capsys, "--json", "verify-paper")
+    doc = json.loads(out)
+    assert code == 0 and doc["all_ok"] and len(doc["checks"]) == len(lines)
+    # each check carries the wall time of the step that produced it
+    assert all(type(c["seconds"]) is float and c["seconds"] >= 0 for c in doc["checks"])
+
+
+def test_verify_paper_reports_a_broken_lift_as_a_failure(capsys, monkeypatch):
+    # the identity suite of (2, C3) gets a fresh decomposition whose lift of
+    # class 1 leaves the ideal; the cached decomposition is left alone
+    broken = SemisimpleDecomposition(AbelianGroup((3,)), 2)
+    psi = broken.psi_matrix(1)
+    psi[0, 0] = broken.spec.add(int(psi[0, 0]), 1)
+    broken._psi_matrix[1] = psi
+    plain = diagnostics.decompose_algebra
+    monkeypatch.setattr(diagnostics, "decompose_algebra", lambda group, q: (
+        broken if (q, group.orders) == (2, (3,)) else plain(group, q)))
+    code, out, err = run(capsys, "--no-banner", "verify-paper")
+    assert code == 4
+    assert "FAIL  identity suite q=2, H=3  (projection/lift are inverse ring " \
+        "isomorphisms)" in out.splitlines()
+    assert sum(l.startswith("FAIL") for l in out.splitlines()) == 1
+    assert err == "internal error: reference suite regression\n"
 
 
 def test_error_exit_codes(capsys, tmp_path):
@@ -160,6 +186,17 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "--no-banner", "--cap-codewords", "0",
                        "distance", "--code", str(big))
     assert code == 2 and "cap must be positive" in err
+
+
+def test_search_refuses_a_dimension_target_past_the_cap_after_stage_one(capsys):
+    # survivors of distinct classes add up to 30, and 2^30 codewords exceed
+    # the default cap, so no stage past the first runs
+    start = time.perf_counter()
+    code, _, err = run(capsys, "--no-banner", "search", "--q", "2", "--group", "5,5",
+                       "--index", "2", "--dmin", "8", "--dim", "30")
+    assert code == 3
+    assert "search stage 1" in err and f"would need {2 ** 30}" in err
+    assert time.perf_counter() - start < 20
 
 
 @pytest.mark.parametrize("dim", ["0", "-3"])
