@@ -4,8 +4,11 @@ Generator matrices are held in reduced row echelon form, which makes them a
 canonical representative of the row space: two codes are equal iff their
 matrices are identical, and a vector lies in the code iff it equals its
 pivot entries times the generators (`contains` tests a stack at once).
-Minimum distance and weight distribution are found by full message-space
-enumeration, guarded by a cap; no cleverer distance algorithm is attempted.
+Weight distributions are found by full message-space enumeration, guarded
+by a cap.  So is the minimum distance of a code whose codewords fit in one
+block; a larger code gets its exact distance from information sets
+(Brouwer–Zimmermann), which weigh the words of low-weight messages only and
+never more words than enumeration would.
 `WordLayout` is the one weigher: `span` packs every combination of some
 rows, and `distributions` sums, for each of many candidates, one span from
 each of several stacks and counts popcount weights, in blocks of at most
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -329,17 +333,22 @@ class LinearCode:
 
     # -- enumeration ----------------------------------------------------------
 
+    def _codeword_count(self, cap: int) -> int:
+        """q^k, refused with `CapExceededError` when it exceeds the cap."""
+        count = self.field.size ** self.dim
+        if count > cap:
+            raise CapExceededError(
+                f"codeword enumeration for [{self.length},{self.dim}] over a "
+                f"size-{self.field.size} field", count, cap)
+        return count
+
     def _distribution(self, cap: int) -> np.ndarray:
         """Codeword counts by Hamming weight: the span of the last generator
         rows, at most one block of codewords, added to every combination of
         the others (if any)."""
         k = self.dim
         Q = self.field.size
-        count = Q ** k
-        if count > cap:
-            raise CapExceededError(
-                f"codeword enumeration for [{self.length},{k}] over a size-{Q} field",
-                count, cap)
+        count = self._codeword_count(cap)
         # the last `low` rows (one at least, if any) span at most one block
         low = min(k, 1)
         while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
@@ -352,10 +361,92 @@ class LinearCode:
             raise InvariantError("weight distribution failed its sanity checks")
         return counts
 
+    def _information_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Generator matrices of the code, each systematic on an information
+        set, with the columns of that set that no earlier set holds.
+
+        The first is the RREF.  Each next one is the RREF on a column order
+        that puts the columns no earlier set holds first; the sets end when
+        it finds no new pivot.  So the new columns are disjoint and cover
+        every column on which the code is not zero.
+        """
+        k = self.dim
+        sets = [(self.gens, np.array(self.pivots, dtype=np.intp))]
+        used = np.zeros(self.length, dtype=bool)
+        used[list(self.pivots)] = True
+        while True:
+            order = np.argsort(used, kind="stable")  # unused columns first
+            R, pivots = rref(self.field, self.gens[:, order])
+            if len(pivots) != k:
+                raise InvariantError("an information set does not have full rank")
+            new = order[pivots]
+            new = new[~used[new]]
+            if not len(new):
+                return sets
+            G = np.empty_like(R)
+            G[:, order] = R
+            sets.append((G, new))
+            used[new] = True
+
+    def _information_set_distance(self, budget: float) -> int | None:
+        """Exact minimum distance from information sets (Brouwer–Zimmermann;
+        Grassl 2006), or None when the next message weight would take the
+        words weighed past `budget`.
+
+        At message weight w every set weighs the sums of w of its rows, the
+        last of them times 1 and the others times any nonzero scalar.  A
+        codeword none of them has found yet has weight above w on each
+        information set, so at least w + 1 - (k - r) on the r columns that
+        set adds; once those bounds add up to the least weight found, that
+        weight is the distance.
+        """
+        k, Q = self.dim, self.field.size
+        layout = word_layout(self.field, self.length)
+        sets = self._information_sets()
+        # multiples[j][r, s]: row r of set j times the s-th nonzero element
+        # (the codes are sorted, so 1 comes first), packed
+        scalars = self.field.elements[1:, None]
+        multiples = [layout.pack(self.field.spec.vmul(scalars, G[:, None, :]))
+                     for G, _ in sets]
+        # binom[t][c] = C(c, t), to unrank t-subsets of the rows in colex order
+        binom = [np.array([math.comb(c, t) for c in range(k)], dtype=np.int64)
+                 for t in range(k + 1)]
+        best, weighed = self.length + 1, 0
+        for w in range(1, k + 1):
+            scalings = (Q - 1) ** (w - 1)
+            per_set = math.comb(k, w) * scalings
+            weighed += len(sets) * per_set
+            if weighed > budget:
+                return None
+            for rows in multiples:
+                for a in range(0, per_set, _BLOCK_CODEWORDS):
+                    subset, scale = np.divmod(
+                        np.arange(a, min(a + _BLOCK_CODEWORDS, per_set), dtype=np.int64),
+                        scalings)
+                    for t in range(w, 0, -1):
+                        r = np.searchsorted(binom[t], subset, side="right") - 1
+                        subset -= binom[t][r]
+                        if t == w:
+                            total = rows[r, 0]
+                        else:
+                            scale, s = np.divmod(scale, Q - 1)
+                            total = layout.add(total, rows[r, s])
+                    best = min(best, int(layout.weights(total).min()))
+            if sum(max(0, w + 1 - (k - len(new))) for _, new in sets) >= best:
+                return best
+        return None
+
     def min_distance(self, cap: int = DEFAULT_CODEWORD_CAP) -> int:
-        """Exact minimum Hamming weight over all nonzero codewords."""
+        """Exact minimum Hamming weight over all nonzero codewords: from the
+        weight distribution when the codewords fit in one block, otherwise
+        from information sets unless they would weigh more words."""
         if self.dim == 0:
             raise ValueError("minimum distance is undefined for the zero code")
+        count = self._codeword_count(cap)
+        if count > _BLOCK_CODEWORDS:
+            d = self._information_set_distance(count)
+            if d is not None:
+                return d
         return int(np.flatnonzero(self._distribution(cap)[1:])[0]) + 1
 
     def weight_distribution(self, cap: int = DEFAULT_CODEWORD_CAP) -> np.ndarray:

@@ -87,8 +87,9 @@ def binary_inner_data():
     return singles, prefix
 
 
-def predict_6400() -> CodeParams:
-    _, prefix = binary_inner_data()
+def predict_6400(prefix: list[int]) -> CodeParams:
+    """Binary prediction from the nested-sum distances of
+    `binary_inner_data`."""
     return predict_params(25, [4, 4, 4, 4], prefix,
                           [CodeParams(256, 201, 12)] * 4, [4, 4, 4, 4])
 
@@ -135,7 +136,7 @@ def run_reference_suite(seed: int = 0) -> list[tuple[str, bool, str, float]]:
     step(("binary inner ideals are [25,4,10]", ok, f"nested-sum distances {prefix}"),
          ("four-ideal sum has distance 4", prefix[3] == 4, f"got {prefix[3]}"))
 
-    p1 = predict_6400()
+    p1 = predict_6400(prefix)
     step(("predicted [6400,3216,>=48]",
           (p1.length, p1.dim) == (6400, 3216) and p1.distance_lower_bound >= 48,
           str(p1)))

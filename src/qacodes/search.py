@@ -28,8 +28,9 @@ candidates of one summand-dimension signature are weighed by one
 A stage still counts as candidates all ids of later classes within the
 dimension target; those that are not siblings count among the pruned.
 A dimension target whose codewords exceed the cap is settled after stage
-1: refused if one survivor dimension from each of some set of distinct
-classes adds up to it, an empty result otherwise.
+1: refused if the Singleton bound allows it (k <= n - d_min + 1) and one
+survivor dimension from each of some set of distinct classes adds up to
+it, an empty result otherwise.
 Results are deduplicated by (parameters, weight distribution) - a proxy for
 code equivalence, which is deliberately out of scope - keeping the least
 assignment of each fingerprint, one `np.lexsort` per chunk.
@@ -301,10 +302,11 @@ def search(spec: SearchSpec) -> SearchResult:
                 base[good] * count + j[good])
 
     survivors = count
-    # a dimension target past the codeword cap is refused now if survivors
-    # of distinct classes can add up to it; otherwise no code meets it
+    # a dimension target past the codeword cap is refused now if the
+    # Singleton bound allows it and survivors of distinct classes can add up
+    # to it; otherwise no code meets it
     if dim_target is not None and spec.q ** dim_target > spec.caps.codewords:
-        if _reaches(classes, dims, dim_target):
+        if dim_target <= n - d_min + 1 and _reaches(classes, dims, dim_target):
             _check_cap(spec, 1, n, dim_target)
         survivors = 0
     stage = 1

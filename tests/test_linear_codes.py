@@ -1,5 +1,6 @@
 """Linear code machinery: canonical forms, duality, hulls, enumeration."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import qacodes
 from qacodes import linear_codes
@@ -164,6 +167,95 @@ def test_enumeration_streams_small_blocks(monkeypatch, block):
     want = [(c.weight_distribution().tolist(), c.min_distance()) for c in codes]
     monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
     assert [(c.weight_distribution().tolist(), c.min_distance()) for c in codes] == want
+
+
+# (q, tower, degree) of the information-set property test: prime and
+# extension fields, F_4 inside the F_16 presentation over F_4 and over F_2,
+# and F_2 inside F_2048, which has no pair tables
+IS_FIELDS = [(2, 1, 1), (3, 1, 1), (4, 1, 1), (5, 1, 1), (7, 1, 1), (8, 1, 1),
+             (9, 1, 1), (4, 2, 1), (2, 4, 2), (2, 11, 1)]
+
+
+@functools.cache
+def _cached_field(q, tower, degree):
+    return _field(q, tower, degree)
+
+
+@st.composite
+def _generator_matrices(draw):
+    """A field of IS_FIELDS and k rows of element indices of length n, with
+    at most 2^9 messages; each column is random, zero or a copy of an
+    earlier one, and k may be near n, so information sets overlap."""
+    case = draw(st.integers(0, len(IS_FIELDS) - 1))
+    q, _, degree = IS_FIELDS[case]
+    Q = q ** degree
+    n = draw(st.integers(1, 24))
+    k_max = 1
+    while Q ** (k_max + 1) <= 2 ** 9:
+        k_max += 1
+    k = draw(st.integers(1, min(n, k_max)))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("random", "zero", "copy")))
+        if kind == "zero":
+            columns.append([0] * k)
+        elif kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        else:
+            columns.append(draw(st.lists(st.integers(0, Q - 1), min_size=k, max_size=k)))
+    return case, [list(row) for row in zip(*columns)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_generator_matrices(), st.sampled_from([2, 7, 64]))
+@example((0, np.eye(6, dtype=int).tolist()), 7)                      # distance 1
+@example((1, [[1, 0, 1, 2, 1, 0], [0, 1, 1, 1, 0, 0]]), 2)            # zero, repeated
+@example((2, [[1, 0, 0, 1, 2], [0, 1, 0, 3, 3], [0, 0, 1, 2, 1]]), 7)  # n < 2k
+# no weight-1 message gives a minimum-weight word, and the bound after
+# message weight 1 equals the distance: [10,3,6] over F_7 (sets of 3, 3, 3
+# and 1 new columns) and [12,8,2] over F_2 (8 and 4)
+@example((4, [[1, 2, 5, 3, 2, 1, 5, 5, 2, 4], [2, 4, 5, 4, 6, 3, 6, 2, 4, 6],
+              [5, 2, 0, 4, 2, 4, 2, 3, 0, 4]]), 64)
+@example((0, [[1, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0], [1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0],
+              [1, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1],
+              [1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0], [1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0],
+              [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0], [0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+              [1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0]]), 7)
+def test_information_set_distance_matches_enumeration(matrix, block):
+    """The information-set distance equals the first nonzero weight of the
+    enumerated distribution, run alone, streamed in small blocks, and through
+    `min_distance` when a small block routes every code to it; the sets'
+    new columns are disjoint unit columns that cover the code's support."""
+    case, rows = matrix
+    field = _cached_field(*IS_FIELDS[case])
+    code = LinearCode(field, len(rows[0]), field.elements[np.array(rows)])
+    assume(code.dim)
+    want = int(np.flatnonzero(code.weight_distribution()[1:])[0]) + 1
+    sets = code._information_sets()
+    new = np.concatenate([cols for _, cols in sets]).tolist()
+    assert sorted(new) == np.flatnonzero(code.gens.any(axis=0)).tolist()
+    units = {tuple(e) for e in np.eye(code.dim, dtype=int).tolist()}
+    for G, cols in sets:
+        assert LinearCode(field, code.length, G) == code
+        got = {tuple(c) for c in G[:, cols].T.tolist()}
+        assert got <= units and len(got) == len(cols)
+    assert code._information_set_distance(math.inf) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+        assert code._information_set_distance(math.inf) == want
+        assert code.min_distance() == want
+
+
+def test_information_sets_of_the_ternary_ideal_sum():
+    """The ternary [25,12,6] nested ideal sum over C5 x C5 has 3^12 codewords,
+    more than one block, so min_distance takes it from three information
+    sets of 12, 11 and 2 new columns."""
+    dec = qacodes.decompose_algebra(AbelianGroup((5, 5)), 3)
+    idx = [dec.class_index(t) for t in ((1, 0), (0, 1), (1, 1))]
+    code = dec.ideal_sum_code(idx)
+    assert code.codeword_count > linear_codes._BLOCK_CODEWORDS
+    assert [len(cols) for _, cols in code._information_sets()] == [12, 11, 2]
+    assert code.min_distance() == code._information_set_distance(math.inf) == 6
 
 
 def test_distributions_reject_dependent_spans():

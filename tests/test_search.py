@@ -18,12 +18,14 @@ def test_target_beyond_length_is_empty():
     assert res.codes == []
 
 
-def test_unreachable_dimension_target_past_the_cap_is_empty():
+@pytest.mark.parametrize("dim", [31, 44, 49])
+def test_unreachable_dimension_target_past_the_cap_is_empty(dim):
     # stage-1 survivors have dimensions 1, 2 (the class of 0) and 4, 8 (six
-    # classes of size 4): no sum of one per class is 31, and 2^31 codewords
-    # exceed the cap, so the search ends after stage 1
+    # classes of size 4): no sum of one per class is 31, and 44 and 49 exceed
+    # the Singleton bound n - d + 1 = 43 although such sums reach them; 2^dim
+    # codewords exceed the cap, so the search ends after stage 1
     res = search(SearchSpec(q=2, group=AbelianGroup((5, 5)), index=2, d_min=8,
-                            dim_target=31))
+                            dim_target=dim))
     assert res.codes == [] and res.stats["distinct"] == 0
     assert [s["stage"] for s in res.stats["stages"]] == [1]
 
