@@ -237,8 +237,11 @@ class WordLayout:
 
         The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
         codewords, read at each call; the spans of a block are gathered for
-        it alone.  Every span starts with the zero word and the generators of
-        a sum must be independent, so exactly one sum may have weight 0.
+        it alone.  A span lists either every codeword, the zero word first,
+        or every nonzero one.  The generators of a sum must be independent,
+        so one sum has weight 0 if each of its spans holds the zero word and
+        none otherwise; a dependency adds weight-0 sums.  (Without zero
+        words, only a dependency among all the summands shows.)
         """
         n1 = self.length + 1
         rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(stacks))
@@ -281,8 +284,18 @@ class WordLayout:
                         part = self.add(lead, stacks[h][r[h], a:a + step])
                         w = self.weights(self.sum_span([part] + tails))
                         out[c] += np.bincount(w.ravel(), minlength=n1)
-        if out[:, 0].tolist() != [1] * m:
-            raise InvariantError("direct sum generators are not independent")
+        zero = out[:, 0].tolist()
+        if zero != [1] * m:
+            if any(zero):
+                raise InvariantError("direct sum generators are not independent")
+        elif m and self.field.size == 2:
+            # over F_2 one weight-0 sum may also be a dependency among spans
+            # without their zero word (2^r - 1 words, an odd number, the
+            # first nonzero); over a larger field it comes with a multiple
+            # per nonzero scalar.  The spans of one stack are of one kind.
+            for s, r in zip(stacks, rows[0]):
+                if s.shape[1] % 2 and s[r, 0].any():
+                    raise InvariantError("direct sum generators are not independent")
         return out
 
 
@@ -298,7 +311,7 @@ def word_layout(field: Subfield, length: int) -> WordLayout:
 class LinearCode:
     """A linear code over a subfield of the tower, canonicalized to RREF."""
 
-    __slots__ = ("field", "length", "gens", "pivots")
+    __slots__ = ("field", "length", "gens", "pivots", "_sets")
 
     def __init__(self, field: Subfield, length: int, rows=None, *, _canonical=False):
         self.field = field
@@ -322,6 +335,7 @@ class LinearCode:
         gens.setflags(write=False)
         self.gens = gens
         self.pivots = tuple(pivots)
+        self._sets = None  # the information sets, found at their first use
 
     @property
     def dim(self) -> int:
@@ -361,15 +375,18 @@ class LinearCode:
             raise InvariantError("weight distribution failed its sanity checks")
         return counts
 
-    def _information_sets(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _information_sets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Generator matrices of the code, each systematic on an information
-        set, with the columns of that set that no earlier set holds.
+        set, with the columns of that set that no earlier set holds; found
+        at the first call and kept with the code.
 
         The first is the RREF.  Each next one is the RREF on a column order
         that puts the columns no earlier set holds first; the sets end when
         it finds no new pivot.  So the new columns are disjoint and cover
         every column on which the code is not zero.
         """
+        if self._sets is not None:
+            return self._sets
         k = self.dim
         sets = [(self.gens, np.array(self.pivots, dtype=np.intp))]
         used = np.zeros(self.length, dtype=bool)
@@ -382,7 +399,8 @@ class LinearCode:
             new = order[pivots]
             new = new[~used[new]]
             if not len(new):
-                return sets
+                self._sets = tuple(sets)
+                return self._sets
             G = np.empty_like(R)
             G[:, order] = R
             sets.append((G, new))

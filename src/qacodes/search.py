@@ -9,43 +9,59 @@ minimal ideal and keeps, under an integer id, the combinations whose exact
 minimum distance reaches the target; the outer codes of one class and one
 dimension are flattened, spanned (`WordLayout.span`, one row of packed words
 per codeword) and weighed together, and the span of each survivor is stored
-once.  Stage s + 1 extends the surviving id tuples of stage s by one id of a
-later class, level-synchronously: level s holds its tuples as the rows of an
-array, each with the rows of its s faces (the tuple less one id) in level
-s - 1 and a key (last face, last id), ascending.  The search is complete
-because every sub-assignment of a survivor is itself a survivor (a direct
-summand has at least the distance of the sum); the same fact prunes a
-candidate one of whose sub-assignments did not survive.  So a tuple is
-extended only by the last ids of its siblings (the rows that share its last
-face, one run of the sorted keys), and the other faces of each extension are
-looked up in the keys with one `np.searchsorted`; the positions found are
-the faces of the new survivors.  The frontier is taken in chunks of at most
-one block of weight counters: the candidate pairs of a chunk come from one
-`np.repeat`, are selected with array masks (dimension target, subset
-closure, Singleton bound) and checked against the codeword cap, and the
-candidates of one summand-dimension signature are weighed by one
-`WordLayout.distributions` call that sums the stored spans of their ids.
+once, without its zero word.  Stage s + 1 extends the surviving id tuples of
+stage s by one id of a later class, level-synchronously: level s holds its
+tuples as the rows of an array, each with the rows of its s faces (the tuple
+less one id) in level s - 1 and a key (last face, last id), ascending.  The
+search is complete because every sub-assignment of a survivor is itself a
+survivor (a direct summand has at least the distance of the sum); the same
+fact prunes a candidate one of whose sub-assignments did not survive.  So a
+tuple is extended only by the last ids of its siblings (the rows that share
+its last face, one run of the sorted keys), and the other faces of each
+extension are looked up in the keys with one `np.searchsorted`; the
+positions found are the faces of the new survivors.  The frontier is taken
+in chunks of at most one block of weight counters: the candidate pairs of a
+chunk come from one `np.repeat`, are selected with array masks (dimension
+target, subset closure, Singleton bound) and checked against the codeword
+cap, and the candidates of one summand-dimension signature are weighed by
+one `WordLayout.distributions` call on the stored spans of their ids.
 A stage still counts as candidates all ids of later classes within the
 dimension target; those that are not siblings count among the pruned.
+
+A candidate weighs only its all-nonzero words, the sums in which every
+summand is nonzero: prod(|S_i| - 1) words for spans S_i, not prod |S_i|.
+It is pruned iff one of them weighs less than the target.  That is exact:
+any other nonzero word has a zero summand, so it lies in a proper
+sub-assignment, which survived (the subset-closure test), and weighs at
+least the target.  Every level keeps its faces and, per survivor, these
+all-nonzero counts for weights d_min..n, in the narrowest unsigned type
+that holds them.  The codewords of a code are the disjoint union of the
+all-nonzero words of its sub-assignments, so a survivor's weight
+distribution is the zero word plus the counts of its nonempty sub-tuples,
+each reached through the faces by dropping positions from the highest
+down.  It is summed once per level, after the level is joined, a batch of
+tuples at a time, for the tuples that can be reported (under a dimension
+target, those of that dimension), and must count q^k words.
 A dimension target whose codewords exceed the cap is settled after stage
 1: refused if the Singleton bound allows it (k <= n - d_min + 1) and one
 survivor dimension from each of some set of distinct classes adds up to
 it, an empty result otherwise.
 Results are deduplicated by (parameters, weight distribution) - a proxy for
 code equivalence, which is deliberately out of scope - keeping the least
-assignment of each fingerprint, one `np.lexsort` per chunk.
+assignment of each fingerprint, one `np.lexsort` per batch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import AbelianGroup
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
                            LinearCode, WordLayout, enumerate_codes, word_layout)
@@ -122,9 +138,10 @@ def _reaches(classes: list[int], dims: np.ndarray, target: int) -> bool:
 def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
     """Yield (outer, span, weight distribution) for every nonzero outer code
     of class i, up to the dimension target, whose concatenation meets the
-    distance target, counting the candidates, the Singleton rejections and
-    the weighed codes in `counts`.  The outer codes of one dimension are
-    flattened, spanned and weighed together."""
+    distance target, counting the candidates, the Singleton rejections, the
+    weighed codes and their words in `counts`.  The outer codes of one
+    dimension are flattened, spanned and weighed together; spans and
+    distributions leave out the zero word."""
     n = layout.length
     k_i = dec.classes[i].size
     outers = enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces)
@@ -141,8 +158,9 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
             counts["singleton"] += len(group)
             continue
         _check_cap(spec, 1, n, dim)
+        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))[:, 1:]
         counts["weighed"] += len(group)
-        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))
+        counts["words"] += spans.shape[0] * spans.shape[1]
         wds = layout.distributions([spans], np.arange(len(group)))
         for outer, span, wd in zip(group, spans, wds):
             if not wd[1:spec.d_min].any():
@@ -151,7 +169,8 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
 
 def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
     """One stage's entry of SearchResult.stats; `weighed` counts the
-    candidates whose weight distribution was computed."""
+    candidates whose weight distribution was computed and `words` the
+    codewords weighed for them."""
     seconds = time.perf_counter() - start_time
     return {"stage": stage, **counts, "survivors": survivors, "seconds": seconds,
             "weighed_per_s": counts["weighed"] / seconds if seconds > 0 else 0.0}
@@ -161,13 +180,32 @@ def _distance(wd) -> int:
     return int(np.flatnonzero(wd[1:])[0]) + 1
 
 
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """The counts in the narrowest unsigned type that holds them all."""
+    return counts.astype(np.min_scalar_type(int(counts.max(initial=0))))
+
+
+def _add_subsets(total: np.ndarray, faces: list, counts: list, level: int,
+                 rows: np.ndarray, p: int) -> None:
+    """Add to `total` the zero-free counts `counts[s]` of every nonempty
+    sub-tuple, at its level s, of the tuples `rows` of `level` that keeps
+    their ids from position p on.  The other ids are dropped from the
+    highest position down, each through the face `faces[s][:, p]` (the
+    tuple less its id at p), which leaves the lower positions in place."""
+    while p:
+        p -= 1
+        if level > 1:
+            _add_subsets(total, faces, counts, level - 1, faces[level][rows, p], p)
+    total += counts[level][rows]
+
+
 def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, int]]:
     """All nonzero outer codes for one class whose simple concatenation meets
     the distance target (and fit the dimension target, if any), with the
     exact concatenation distances."""
     dec = decompose_algebra(spec.group, spec.q)
     layout = word_layout(dec.spec.subfield(1), dec.group.size * spec.index)
-    counts = {"candidates": 0, "singleton": 0, "weighed": 0}
+    counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
     return [(outer, _distance(wd))
             for outer, _, wd in _stage1(dec, spec, layout, class_index, counts)]
 
@@ -184,7 +222,7 @@ def search(spec: SearchSpec) -> SearchResult:
 
     # stage 1: ids in class order, then outer-code enumeration order
     start_time = time.perf_counter()
-    counts = {"candidates": 0, "singleton": 0, "weighed": 0}
+    counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
     classes, outers, spans, wds = [], [], [], []
     for i in range(dec.class_count):
         for outer, span, wd in _stage1(dec, spec, layout, i, counts):
@@ -193,12 +231,11 @@ def search(spec: SearchSpec) -> SearchResult:
             spans.append(span)
             wds.append(wd)
     count = len(outers)
-    stats["stages"].append(_stage_stats(1, counts, count, start_time))
 
     dims = np.array([dec.classes[i].size * c.dim for i, c in zip(classes, outers)],
                     dtype=np.int64)
     later = np.searchsorted(classes, classes, side="right")  # first id of a later class
-    # the spans of each dimension stacked, and each id's slot in its stack
+    # the zero-free spans of each dimension stacked, and each id's slot in its stack
     dim_values = np.unique(dims)
     slot = np.zeros(count, dtype=np.int64)
     stacks = {}
@@ -233,15 +270,43 @@ def search(spec: SearchSpec) -> SearchResult:
             if held is None or key < held[0]:
                 best[fp] = (key, tuple(tuples[t].tolist()), wd[t].copy())
 
-    accept(np.arange(count)[:, None], np.array(wds, dtype=np.int64).reshape(count, n + 1))
-    del spans, wds  # views of the stage-1 blocks
-
     # Level s holds the surviving id tuples of s classes as the rows of `ids`,
     # their dimensions, the rows in level s - 1 of their s faces (the tuple
     # less one id; the last face drops the last id) and the keys
     # last face * count + last id, ascending.  Level 0 is the empty tuple.
-    ids, level_dims = np.arange(count)[:, None], dims
-    faces, keys = np.zeros((count, 1), dtype=np.int64), np.arange(count)
+    # The faces and the zero-free counts of every level are kept; ids and
+    # faces fit int32, as a level of 2^31 rows would not fit in memory.
+    ids, level_dims = np.arange(count, dtype=np.int32)[:, None], dims
+    faces, keys = np.zeros((count, 1), dtype=np.int32), np.arange(count)
+    face_levels = [None, faces]
+    count_levels = [None, _narrow(np.array(wds, dtype=np.int64).reshape(count, n + 1)[:, d_min:])]
+    del spans, wds  # views of the stage-1 blocks
+
+    # rebuilt weight distributions take the narrowest unsigned type that holds
+    # the nonzero words of the largest code a survivor can be (a batch of them
+    # in int64 raises the search's peak memory)
+    max_dim = min(n - d_min + 1, dim_target or n)
+    count_type = np.min_scalar_type(min(spec.q ** max_dim, spec.caps.codewords, 2 ** 64) - 1)
+
+    def accept_level(level: int) -> None:
+        """Accept the reported tuples of the current level (all, or those of
+        the target dimension) with their weight distributions, the zero
+        word plus the zero-free counts of all their sub-tuples, a batch of
+        tuples at a time."""
+        rows = (np.arange(len(ids)) if dim_target is None
+                else np.flatnonzero(level_dims == dim_target))
+        batch = layout.batch
+        for a in range(0, len(rows), batch):
+            part = rows[a:a + batch]
+            wd = np.zeros((len(part), n + 1), dtype=count_type)
+            wd[:, 0] = 1
+            _add_subsets(wd[:, d_min:], face_levels, count_levels, level, part, level)
+            if not np.array_equal(wd.sum(axis=1, dtype=np.int64), spec.q ** level_dims[part]):
+                raise InvariantError("a rebuilt weight distribution does not count q^k words")
+            accept(ids[part], wd)
+
+    accept_level(1)
+    stats["stages"].append(_stage_stats(1, counts, count, start_time))
     # the smallest dimension among the ids of later classes (0 where there are none)
     room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later]
     too_big = np.array([spec.q ** k > spec.caps.codewords for k in range(n + 1)])
@@ -253,8 +318,10 @@ def search(spec: SearchSpec) -> SearchResult:
                     counts: dict):
         """Select and weigh the extensions of the frontier rows `rows` by
         the ids of the level rows first..first + width - 1 (their siblings
-        with an id of a later class), count them, accept the survivors and
-        return their level rows (None if there are none)."""
+        with an id of a later class), count them and return the survivors'
+        level rows (None if there are none).  A candidate weighs only its
+        sums in which every summand is nonzero: each other sum lies in a
+        sub-assignment, which survived."""
         base = np.repeat(rows, width)
         sibling = np.arange(len(base)) + np.repeat(first - np.cumsum(width) + width, width)
         j = ids[sibling, -1]
@@ -265,7 +332,7 @@ def search(spec: SearchSpec) -> SearchResult:
         # every sub-assignment of a survivor must itself survive (a direct
         # summand has at least the distance of the sum): each other face of
         # the base tuple plus j is a row of this level
-        face_keys = faces[base, :-1] * count + j[:, None]
+        face_keys = faces[base, :-1].astype(np.int64) * count + j[:, None]
         at = np.searchsorted(keys, face_keys)
         closed = (keys[np.minimum(at, len(keys) - 1)] == face_keys).all(axis=1)
         picked = closed & (cand_dims <= n - d_min + 1)
@@ -287,19 +354,23 @@ def search(spec: SearchSpec) -> SearchResult:
         order = np.lexsort(signatures.T)
         signatures = signatures[order]
         starts = np.flatnonzero(np.r_[True, (signatures[1:] != signatures[:-1]).any(axis=1)])
-        survived = []
+        survived, found = [], []
         for members, signature in zip(np.split(order, starts[1:]), signatures[starts].tolist()):
-            wd = layout.distributions([stacks[k] for k in signature], slot[tuples[members]])
+            summands = [stacks[k] for k in signature]
+            counts["words"] += len(members) * math.prod(s.shape[1] for s in summands)
+            wd = layout.distributions(summands, slot[tuples[members]])
             good = ~wd[:, 1:d_min].any(axis=1)
-            accept(tuples[members[good]], wd[good])
             survived.append(members[good])
+            found.append(_narrow(wd[good, d_min:]))
             del wd  # freed before the next group is weighed
-        good = np.sort(np.concatenate(survived))
-        if not len(good):
+        survived = np.concatenate(survived)
+        if not len(survived):
             return None
+        order = np.argsort(survived)
+        good = survived[order]
         return (tuples[good], cand_dims[good],
-                np.column_stack([at[good], sibling[good], base[good]]),
-                base[good] * count + j[good])
+                np.column_stack([at[good], sibling[good], base[good]]).astype(np.int32),
+                base[good] * count + j[good], np.concatenate(found)[order])
 
     survivors = count
     # a dimension target past the codeword cap is refused now if the
@@ -313,7 +384,7 @@ def search(spec: SearchSpec) -> SearchResult:
     while survivors:
         stage += 1
         start_time = time.perf_counter()
-        counts = {"candidates": 0, "pruned": 0, "singleton": 0, "weighed": 0}
+        counts = {"candidates": 0, "pruned": 0, "singleton": 0, "weighed": 0, "words": 0}
         # the frontier: tuples with a candidate, an id of a later class that
         # fits the dimension target
         last = ids[:, -1]
@@ -330,7 +401,7 @@ def search(spec: SearchSpec) -> SearchResult:
         counts["pruned"] = counts["candidates"]  # less the candidates kept
         # a candidate extends its tuple's last face, the parent, like the
         # tuple itself: it is the last id of a sibling row, one of a later class
-        parent = faces[frontier, -1] * count
+        parent = faces[frontier, -1].astype(np.int64) * count
         first = np.searchsorted(keys, parent + start)
         widths = np.searchsorted(keys, parent + count) - first
         ends = np.cumsum(widths)
@@ -345,10 +416,14 @@ def search(spec: SearchSpec) -> SearchResult:
                 levels.append(level)
             a = b
         survivors = sum(len(level[0]) for level in levels)
-        stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
         if survivors:
-            ids, level_dims, faces, keys = (np.concatenate(parts) for parts in zip(*levels))
-        del levels  # the chunks' copies of the new level
+            ids, level_dims, faces, keys, found = (np.concatenate(parts)
+                                                   for parts in zip(*levels))
+            levels.clear()  # the chunks' copies of the new level, freed before the sums
+            face_levels.append(faces)
+            count_levels.append(found)
+            accept_level(stage)
+        stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
 
     # fingerprint deduplication, deterministic order
     unique = []

@@ -258,13 +258,41 @@ def test_information_sets_of_the_ternary_ideal_sum():
     assert code.min_distance() == code._information_set_distance(math.inf) == 6
 
 
+def test_information_sets_are_kept_with_the_code(monkeypatch):
+    """A second min_distance call reuses the code's information sets: it
+    runs no rref."""
+    dec = qacodes.decompose_algebra(AbelianGroup((5, 5)), 3)
+    code = dec.ideal_sum_code([dec.class_index(t) for t in ((1, 0), (0, 1), (1, 1))])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linear_codes, "rref", counted)
+    assert code.min_distance() == 6
+    assert calls
+    first = len(calls)
+    assert code.min_distance() == 6
+    assert len(calls) == first
+
+
 def test_distributions_reject_dependent_spans():
     """Two spans sharing a nonzero word give weight 0 twice: the weigher
-    refuses them rather than miscount."""
+    refuses them rather than miscount.  Without their zero words they give
+    weight 0 where no sum should, once for a single shared binary word."""
     layout = linear_codes.word_layout(F3, 5)
     rows = [[1, 2, 0, 0, 1], [0, 1, 1, 2, 0]]
     with pytest.raises(InvariantError):
         layout.distributions([layout.span(rows)[None], layout.span(rows[1:])[None]], [0, 0])
+    with pytest.raises(InvariantError):
+        layout.distributions([layout.span(rows)[None, 1:], layout.span(rows[1:])[None, 1:]],
+                             [0, 0])
+    binary = linear_codes.word_layout(F2, 3)
+    rows2 = [[1, 0, 1], [0, 1, 1]]
+    with pytest.raises(InvariantError):
+        binary.distributions([binary.span(rows2)[None, 1:], binary.span(rows2[1:])[None, 1:]],
+                             [0, 0])
     got = layout.distributions([layout.span(rows[:1])[None], layout.span(rows[1:])[None]],
                                [0, 0])[0]
     assert got.tolist() == LinearCode(F3, 5, rows).weight_distribution().tolist()

@@ -1,5 +1,7 @@
 """Staged search: soundness, stage-1 completeness, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,9 @@ def test_search_stage_counts():
     assert [(s["stage"], s["candidates"], s["pruned"], s["survivors"])
             for s in stages[1:]] == [(2, 102, 0, 78), (3, 216, 0, 180), (4, 270, 126, 0)]
     assert (res.stats["accepted"], res.stats["distinct"]) == (274, 8)
+    # codewords weighed: stage 1 every nonzero word, a later stage only the
+    # sums in which every summand is nonzero
+    assert [s["words"] for s in stages] == [126, 702, 3888, 3888]
     for s in stages:
         assert s["seconds"] >= 0
         assert s["singleton"] == 0
@@ -171,7 +176,21 @@ def _random_outer(rng, field, length, dim):
             return code
 
 
-@pytest.mark.parametrize("q,orders,index", [
+def _random_assignment(rng, dec, index, q):
+    """A random assignment (class index -> nonzero outer code) of at most
+    2^13 codewords."""
+    max_dim = int(np.log(2 ** 13) / np.log(q))
+    assignment, dim = {}, 0
+    for i in rng.permutation(dec.class_count).tolist():
+        k = dec.classes[i].size
+        r = int(rng.integers(1, min(index, 2) + 1))
+        if dim + k * r <= max_dim:
+            assignment[i] = _random_outer(rng, dec.spec.subfield(k), index, r)
+            dim += k * r
+    return assignment
+
+
+KERNEL_CASES = pytest.mark.parametrize("q,orders,index", [
     (2, (3, 3), 3),
     (3, (2, 2), 2),
     (5, (3,), 2),
@@ -181,6 +200,9 @@ def _random_outer(rng, field, length, dim):
     (9, (2,), 2),
     (3, (4,), 6),  # 24 coordinates of 3 bits: two words per codeword
 ], ids=["q2", "q3", "q5", "q7", "q4", "q8", "q9", "q3-two-words"])
+
+
+@KERNEL_CASES
 def test_kernel_weighs_like_the_flattened_code(q, orders, index):
     """The packed-word kernel's weight distribution of a direct sum equals
     the full enumeration of the flattened quasi-abelian code."""
@@ -189,16 +211,9 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
     layout = word_layout(dec.spec.subfield(1), group.size * index)
     if q == 3 and index == 6:
         assert layout.words == 2
-    max_dim = int(np.log(2 ** 13) / np.log(q))  # at most 2^13 codewords
     rng = np.random.default_rng(q * 100 + index)
     for _ in range(4):
-        assignment, dim = {}, 0
-        for i in rng.permutation(dec.class_count).tolist():
-            k = dec.classes[i].size
-            r = int(rng.integers(1, min(index, 2) + 1))
-            if dim + k * r <= max_dim:
-                assignment[i] = _random_outer(rng, dec.spec.subfield(k), index, r)
-                dim += k * r
+        assignment = _random_assignment(rng, dec, index, q)
         *first, last = sorted(assignment)
         stacks = [layout.span(dec.flatten(i, assignment[i].gens))[None] for i in first]
         # three candidates of the same dimension for the last class, weighed at once
@@ -213,6 +228,29 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
         for outer, row in zip(outers, got):
             qa = qa_from_constituents(group, q, index, {**assignment, last: outer})
             assert row.tolist() == qa.flattened.weight_distribution().tolist()
+
+
+@KERNEL_CASES
+def test_zero_free_counts_add_up_to_the_weight_distribution(q, orders, index):
+    """The identity the search weighs by: the weight distribution of a
+    direct sum is the zero word plus, over all its nonempty sub-assignments,
+    the weights of the sums in which every summand is nonzero, which the
+    weigher counts from spans without their zero word."""
+    group = AbelianGroup(orders)
+    dec = decompose_algebra(group, q)
+    layout = word_layout(dec.spec.subfield(1), group.size * index)
+    rng = np.random.default_rng(q * 100 + index)
+    for _ in range(4):
+        assignment = _random_assignment(rng, dec, index, q)
+        spans = {i: layout.span(dec.flatten(i, outer.gens))[None, 1:]
+                 for i, outer in assignment.items()}
+        total = np.zeros(layout.length + 1, dtype=np.int64)
+        total[0] = 1
+        for r in range(1, len(spans) + 1):
+            for sub in itertools.combinations(sorted(spans), r):
+                total += layout.distributions([spans[i] for i in sub], [0] * r)[0]
+        qa = qa_from_constituents(group, q, index, assignment)
+        assert total.tolist() == qa.flattened.weight_distribution().tolist()
 
 
 def test_stage1_filter_honours_the_dimension_target():
