@@ -660,19 +660,20 @@ class AbelianGroup:
     def _coord_matrix(self) -> np.ndarray:
         return np.array([g.coords for g in self.elements], dtype=np.int64)
 
+    def _encode(self, coords: np.ndarray) -> np.ndarray:
+        """Indices of the elements with coordinates `coords` (last axis),
+        each reduced mod its order."""
+        orders = np.array(self.orders, dtype=np.int64)
+        return ((coords % orders) @ np.array(self._strides, dtype=np.int64)).astype(np.int32)
+
     @cached_property
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = index of elements[i] + elements[j]."""
-        cm = self._coord_matrix
-        orders = np.array(self.orders, dtype=np.int64)
-        summed = (cm[:, None, :] + cm[None, :, :]) % orders
-        return (summed @ np.array(self._strides, dtype=np.int64)).astype(np.int32)
+        return self._encode(self._coord_matrix[:, None, :] + self._coord_matrix[None, :, :])
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        cm = self._coord_matrix
-        orders = np.array(self.orders, dtype=np.int64)
-        return (((-cm) % orders) @ np.array(self._strides, dtype=np.int64)).astype(np.int32)
+        return self._encode(-self._coord_matrix)
 
     @cached_property
     def diff_table(self) -> np.ndarray:
@@ -691,9 +692,7 @@ class AbelianGroup:
 
     def scalar_table(self, c: int) -> np.ndarray:
         """Index permutation of h -> c*h."""
-        cm = self._coord_matrix
-        orders = np.array(self.orders, dtype=np.int64)
-        return (((c * cm) % orders) @ np.array(self._strides, dtype=np.int64)).astype(np.int32)
+        return self._encode(c * self._coord_matrix)
 
     def __eq__(self, other):
         return isinstance(other, AbelianGroup) and self.orders == other.orders

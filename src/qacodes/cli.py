@@ -40,9 +40,11 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit_json(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _emit_json(doc, fh=None) -> None:
+    """Write `doc` as indented, key-sorted JSON and a newline (to stdout by default)."""
+    fh = fh or sys.stdout
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _params_doc(params) -> dict:
@@ -128,8 +130,7 @@ def _cmd_construct(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _emit_json(doc, fh)
     if args.json:
         _emit_json(doc)
         return 0
@@ -210,8 +211,7 @@ def _cmd_search(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _emit_json(doc, fh)
     _banner(args)
     if args.json:
         _emit_json(doc)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, help="descriptor JSON path")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("distance", help="exact minimum distance by enumeration")
+    p = sub.add_parser("distance", help="exact minimum distance (enumeration or information sets)")
     p.add_argument("--code", required=True, help="descriptor JSON path")
     p.set_defaults(func=_cmd_distance)
 

@@ -9,12 +9,14 @@ by a cap.  So is the minimum distance of a code whose codewords fit in one
 block; a larger code gets its exact distance from information sets
 (Brouwer–Zimmermann), which weigh the words of low-weight messages only and
 never more words than enumeration would.
-`WordLayout` is the one weigher: `span` packs every combination of some
-rows, and `distributions` sums, for each of many candidates, one span from
-each of several stacks and counts popcount weights, in blocks of at most
-2^16 codewords.  A code is weighed as the span of its first generator rows
-plus the span of its last rows; the search weighs its direct sums, one
-stored span per summand, the same way.
+`WordLayout` is the one weigher, and a span lists the nonzero words of a
+space: `span` packs every nonzero combination of some rows, and
+`distributions` sums, for each of many candidates, one span from each of
+several stacks, so it weighs the sums in which every summand is nonzero,
+in blocks of at most 2^16 codewords.  A direct sum's codewords are the zero
+word and these sums for each nonempty set of its summands: a code is
+weighed as the sums of its first generator rows, of its last rows and of
+both, and the search weighs its direct sums the same way.
 """
 
 from __future__ import annotations
@@ -203,9 +205,9 @@ class WordLayout:
         return out.view(np.int64)
 
     def sum_span(self, spans) -> np.ndarray:
-        """Span of a direct sum from the spans of its summands, each listing
-        the zero word first; the first summand varies slowest.  Leading axes
-        broadcast: a stack of spans gives a stack of sums."""
+        """Every sum of one word from each of the word lists `spans`; the
+        first list varies slowest.  Leading axes broadcast: a stack of lists
+        gives a stack of sums."""
         # built from the last summand back, so the long axis is innermost
         out = spans[-1]
         for s in spans[-2::-1]:
@@ -214,16 +216,18 @@ class WordLayout:
         return out
 
     def span(self, rows) -> np.ndarray:
-        """Every combination of `rows` (element codes, last two axes) over the
-        layout's field, packed: the zero word first, the first row varying
-        slowest.  No rows span the zero word alone."""
+        """Every nonzero combination of `rows` (element codes, last two axes)
+        over the layout's field, packed, the first row varying slowest: the
+        nonzero words of their row space if the rows are independent.  No
+        rows give an empty span."""
         rows = np.asarray(rows, dtype=np.int32)
         if rows.ndim < 2 or not rows.shape[-2]:
-            return np.zeros(rows.shape[:-2] + (1, self.words), dtype=np.uint64)
+            return np.zeros(rows.shape[:-2] + (0, self.words), dtype=np.uint64)
         # the field multiples of each row: lines[..., r, c] = c-th element * row r
         lines = self.pack(self.field.spec.vmul(self.field.elements[:, None],
                                                rows[..., :, None, :]))
-        return self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])
+        # the all-zero combination comes first
+        return self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])[..., 1:, :]
 
     @property
     def batch(self) -> int:
@@ -237,11 +241,10 @@ class WordLayout:
 
         The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
         codewords, read at each call; the spans of a block are gathered for
-        it alone.  A span lists either every codeword, the zero word first,
-        or every nonzero one.  The generators of a sum must be independent,
-        so one sum has weight 0 if each of its spans holds the zero word and
-        none otherwise; a dependency adds weight-0 sums.  (Without zero
-        words, only a dependency among all the summands shows.)
+        it alone.  A span lists nonzero words, so these are the sums in
+        which every summand is nonzero.  None of them may have weight 0: one
+        that does is a dependency among the generators of its summands (a
+        span holding the zero word, or spans that meet).
         """
         n1 = self.length + 1
         rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(stacks))
@@ -254,7 +257,7 @@ class WordLayout:
         while inner and size * sizes[inner - 1] <= block:
             inner -= 1
             size *= sizes[inner]
-        step = max(1, block // size)
+        step = block // max(size, 1)  # an empty span makes size 0
         if not inner:  # whole candidates, `step` to a block
             for j in range(0, m, step):
                 part = rows[j:j + step]
@@ -284,18 +287,8 @@ class WordLayout:
                         part = self.add(lead, stacks[h][r[h], a:a + step])
                         w = self.weights(self.sum_span([part] + tails))
                         out[c] += np.bincount(w.ravel(), minlength=n1)
-        zero = out[:, 0].tolist()
-        if zero != [1] * m:
-            if any(zero):
-                raise InvariantError("direct sum generators are not independent")
-        elif m and self.field.size == 2:
-            # over F_2 one weight-0 sum may also be a dependency among spans
-            # without their zero word (2^r - 1 words, an odd number, the
-            # first nonzero); over a larger field it comes with a multiple
-            # per nonzero scalar.  The spans of one stack are of one kind.
-            for s, r in zip(stacks, rows[0]):
-                if s.shape[1] % 2 and s[r, 0].any():
-                    raise InvariantError("direct sum generators are not independent")
+        if np.count_nonzero(out[:, 0]):
+            raise InvariantError("direct sum generators are not independent")
         return out
 
 
@@ -357,9 +350,10 @@ class LinearCode:
         return count
 
     def _distribution(self, cap: int) -> np.ndarray:
-        """Codeword counts by Hamming weight: the span of the last generator
-        rows, at most one block of codewords, added to every combination of
-        the others (if any)."""
+        """Codeword counts by Hamming weight: the zero word plus D*(H) +
+        D*(T) + D*(H, T), where D* weighs the sums in which every summand is
+        nonzero, T spans the last rows (at most one block of codewords) and
+        H the others, if any."""
         k = self.dim
         Q = self.field.size
         count = self._codeword_count(cap)
@@ -368,9 +362,14 @@ class LinearCode:
         while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
             low += 1
         layout = word_layout(self.field, self.length)
-        parts = (self.gens[:k - low], self.gens[k - low:]) if k > low else (self.gens,)
-        counts = layout.distributions([layout.span(g)[None] for g in parts],
-                                      [0] * len(parts))[0]
+        if k > low:
+            head = layout.span(self.gens[:k - low])[None]
+            tail = layout.span(self.gens[k - low:])[None]
+            counts = (layout.distributions([head], [0])[0] + layout.distributions([tail], [0])[0]
+                      + layout.distributions([head, tail], [0, 0])[0])
+        else:
+            counts = layout.distributions([layout.span(self.gens)[None]], [0])[0]
+        counts[0] = 1  # the zero word
         if int(counts.sum()) != count:
             raise InvariantError("weight distribution failed its sanity checks")
         return counts

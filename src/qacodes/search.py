@@ -8,8 +8,8 @@ Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
 minimum distance reaches the target; the outer codes of one class and one
 dimension are flattened, spanned (`WordLayout.span`, one row of packed words
-per codeword) and weighed together, and the span of each survivor is stored
-once, without its zero word.  Stage s + 1 extends the surviving id tuples of
+per nonzero codeword) and weighed together, and the span of each survivor is
+stored once.  Stage s + 1 extends the surviving id tuples of
 stage s by one id of a later class, level-synchronously: level s holds its
 tuples as the rows of an array, each with the rows of its s faces (the tuple
 less one id) in level s - 1 and a key (last face, last id), ascending.  The
@@ -28,20 +28,22 @@ one `WordLayout.distributions` call on the stored spans of their ids.
 A stage still counts as candidates all ids of later classes within the
 dimension target; those that are not siblings count among the pruned.
 
-A candidate weighs only its all-nonzero words, the sums in which every
-summand is nonzero: prod(|S_i| - 1) words for spans S_i, not prod |S_i|.
-It is pruned iff one of them weighs less than the target.  That is exact:
-any other nonzero word has a zero summand, so it lies in a proper
+A span lists the nonzero words of its piece, so the weigher counts only a
+candidate's all-nonzero words, the sums in which every summand is nonzero:
+prod(q^k_i - 1) words for summands of dimension k_i, not q^k.  The
+candidate is pruned iff one of them weighs less than the target.  That is
+exact: any other nonzero word has a zero summand, so it lies in a proper
 sub-assignment, which survived (the subset-closure test), and weighs at
 least the target.  Every level keeps its faces and, per survivor, these
 all-nonzero counts for weights d_min..n, in the narrowest unsigned type
-that holds them.  The codewords of a code are the disjoint union of the
-all-nonzero words of its sub-assignments, so a survivor's weight
-distribution is the zero word plus the counts of its nonempty sub-tuples,
-each reached through the faces by dropping positions from the highest
-down.  It is summed once per level, after the level is joined, a batch of
-tuples at a time, for the tuples that can be reported (under a dimension
-target, those of that dimension), and must count q^k words.
+that holds them.  The codewords of a code are the zero word and the
+disjoint union of the all-nonzero words of its nonempty sub-assignments,
+so a survivor's weight distribution is the zero word plus the counts of
+its nonempty sub-tuples, each reached through the faces by dropping
+positions from the highest down.  It is summed once per level, after the
+level is joined, a batch of tuples at a time, for the tuples that can be
+reported (under a dimension target, those of that dimension), and must
+count q^k words.
 A dimension target whose codewords exceed the cap is settled after stage
 1: refused if the Singleton bound allows it (k <= n - d_min + 1) and one
 survivor dimension from each of some set of distinct classes adds up to
@@ -140,8 +142,8 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
     of class i, up to the dimension target, whose concatenation meets the
     distance target, counting the candidates, the Singleton rejections, the
     weighed codes and their words in `counts`.  The outer codes of one
-    dimension are flattened, spanned and weighed together; spans and
-    distributions leave out the zero word."""
+    dimension are flattened, spanned and weighed together; a span lists
+    the nonzero codewords, so a distribution counts no zero word."""
     n = layout.length
     k_i = dec.classes[i].size
     outers = enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces)
@@ -158,7 +160,7 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
             counts["singleton"] += len(group)
             continue
         _check_cap(spec, 1, n, dim)
-        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))[:, 1:]
+        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))
         counts["weighed"] += len(group)
         counts["words"] += spans.shape[0] * spans.shape[1]
         wds = layout.distributions([spans], np.arange(len(group)))
@@ -187,7 +189,7 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
 
 def _add_subsets(total: np.ndarray, faces: list, counts: list, level: int,
                  rows: np.ndarray, p: int) -> None:
-    """Add to `total` the zero-free counts `counts[s]` of every nonempty
+    """Add to `total` the all-nonzero counts `counts[s]` of every nonempty
     sub-tuple, at its level s, of the tuples `rows` of `level` that keeps
     their ids from position p on.  The other ids are dropped from the
     highest position down, each through the face `faces[s][:, p]` (the
@@ -235,7 +237,7 @@ def search(spec: SearchSpec) -> SearchResult:
     dims = np.array([dec.classes[i].size * c.dim for i, c in zip(classes, outers)],
                     dtype=np.int64)
     later = np.searchsorted(classes, classes, side="right")  # first id of a later class
-    # the zero-free spans of each dimension stacked, and each id's slot in its stack
+    # the spans of each dimension stacked, and each id's slot in its stack
     dim_values = np.unique(dims)
     slot = np.zeros(count, dtype=np.int64)
     stacks = {}
@@ -274,7 +276,7 @@ def search(spec: SearchSpec) -> SearchResult:
     # their dimensions, the rows in level s - 1 of their s faces (the tuple
     # less one id; the last face drops the last id) and the keys
     # last face * count + last id, ascending.  Level 0 is the empty tuple.
-    # The faces and the zero-free counts of every level are kept; ids and
+    # The faces and the all-nonzero counts of every level are kept; ids and
     # faces fit int32, as a level of 2^31 rows would not fit in memory.
     ids, level_dims = np.arange(count, dtype=np.int32)[:, None], dims
     faces, keys = np.zeros((count, 1), dtype=np.int32), np.arange(count)
@@ -291,7 +293,7 @@ def search(spec: SearchSpec) -> SearchResult:
     def accept_level(level: int) -> None:
         """Accept the reported tuples of the current level (all, or those of
         the target dimension) with their weight distributions, the zero
-        word plus the zero-free counts of all their sub-tuples, a batch of
+        word plus the all-nonzero counts of all their sub-tuples, a batch of
         tuples at a time."""
         rows = (np.arange(len(ids)) if dim_target is None
                 else np.flatnonzero(level_dims == dim_target))
@@ -429,8 +431,6 @@ def search(spec: SearchSpec) -> SearchResult:
     unique = []
     for _, ids, wd in best.values():
         dim = int(dims[list(ids)].sum())
-        if dim_target is not None and dim != dim_target:
-            continue
         unique.append(SearchEntry(tuple((classes[j], outers[j]) for j in ids),
                                   CodeParams(n, dim, distance=_distance(wd)),
                                   (n, dim, tuple(int(x) for x in wd))))

@@ -277,25 +277,82 @@ def test_information_sets_are_kept_with_the_code(monkeypatch):
     assert len(calls) == first
 
 
+@pytest.mark.parametrize("q,tower,degree", [(2, 1, 1), (3, 1, 1), (4, 1, 1), (9, 1, 1),
+                                             (2, 11, 1)],
+                         ids=["F2", "F3", "F4", "F9", "F2-in-F2048"])
+def test_span_lists_the_nonzero_words(q, tower, degree):
+    """The span of r independent rows is the Q^r - 1 nonzero words of their
+    row space, each once; no rows give an empty span, and a stack of row
+    sets spans to the stack of their spans."""
+    field = _field(q, tower, degree)
+    Q, n = field.size, 7
+    layout = linear_codes.word_layout(field, n)
+    rng = np.random.default_rng(Q)
+    for r in range(1, 4):
+        codes = [_random_code(field, n, r, seed) for seed in range(r * 10, r * 10 + 12)]
+        codes = [c for c in codes if c.dim == r][:3]
+        for code in codes:
+            span = layout.span(code.gens)
+            assert span.shape == (Q ** r - 1, layout.words)
+            assert span.any(axis=1).all()
+            messages = np.array(list(itertools.product(field.elements.tolist(), repeat=r)))
+            words = layout.pack(field.spec.vdot(messages[1:], code.gens))
+            assert sorted(map(tuple, span.tolist())) == sorted(map(tuple, words.tolist()))
+            assert len(set(map(tuple, span.tolist()))) == Q ** r - 1
+        rows = np.stack([rng.permutation(c.gens) for c in codes])
+        assert np.array_equal(layout.span(rows), np.stack([layout.span(g) for g in rows]))
+    assert layout.span(np.zeros((0, n), dtype=np.int32)).shape == (0, layout.words)
+    assert layout.span(np.zeros((3, 0, n), dtype=np.int32)).shape == (3, 0, layout.words)
+
+
 def test_distributions_reject_dependent_spans():
-    """Two spans sharing a nonzero word give weight 0 twice: the weigher
-    refuses them rather than miscount.  Without their zero words they give
-    weight 0 where no sum should, once for a single shared binary word."""
+    """A weight-0 sum is a dependency among the generators: two spans that
+    share a word, or a span that holds the zero word.  The weigher refuses
+    it rather than miscount."""
     layout = linear_codes.word_layout(F3, 5)
     rows = [[1, 2, 0, 0, 1], [0, 1, 1, 2, 0]]
     with pytest.raises(InvariantError):
         layout.distributions([layout.span(rows)[None], layout.span(rows[1:])[None]], [0, 0])
-    with pytest.raises(InvariantError):
-        layout.distributions([layout.span(rows)[None, 1:], layout.span(rows[1:])[None, 1:]],
-                             [0, 0])
+    # one shared binary word gives a single weight-0 sum
     binary = linear_codes.word_layout(F2, 3)
     rows2 = [[1, 0, 1], [0, 1, 1]]
     with pytest.raises(InvariantError):
-        binary.distributions([binary.span(rows2)[None, 1:], binary.span(rows2[1:])[None, 1:]],
-                             [0, 0])
-    got = layout.distributions([layout.span(rows[:1])[None], layout.span(rows[1:])[None]],
-                               [0, 0])[0]
+        binary.distributions([binary.span(rows2)[None], binary.span(rows2[1:])[None]], [0, 0])
+    # dependent rows span the zero word
+    with pytest.raises(InvariantError):
+        binary.distributions([binary.span(rows2 + [[1, 1, 0]])[None]], [0])
+    with_zero = np.vstack([np.zeros((1, 1), dtype=np.uint64), binary.span(rows2)])
+    with pytest.raises(InvariantError):
+        binary.distributions([with_zero[None]], [0])
+    # independent spans: the zero word plus the sums of each nonempty sub-sum
+    head, tail = layout.span(rows[:1])[None], layout.span(rows[1:])[None]
+    got = sum(layout.distributions(sub, [0] * len(sub))[0]
+              for sub in ([head], [tail], [head, tail]))
+    got[0] += 1
     assert got.tolist() == LinearCode(F3, 5, rows).weight_distribution().tolist()
+
+
+@pytest.mark.parametrize("q,n,k,sizes", [
+    (2, 6, 0, [(0,)]),
+    (3, 8, 5, [(3 ** 5 - 1,)]),
+    (2, 20, 18, [(3,), (2 ** 16 - 1,), (3, 2 ** 16 - 1)]),
+], ids=["zero-code", "one-block", "head-and-tail"])
+def test_distribution_weighs_every_nonempty_sub_sum(monkeypatch, q, n, k, sizes):
+    """A code's weight distribution is one weigher call on its span when its
+    codewords fit in one block, and otherwise D*(H) + D*(T) + D*(H, T) for
+    a head H and a tail T of its generator rows."""
+    code = LinearCode(_field(q), n, np.eye(k, n, dtype=int))
+    weighed = []
+    distributions = WordLayout.distributions
+
+    def counted(self, stacks, rows):
+        weighed.append(tuple(s.shape[1] for s in stacks))
+        return distributions(self, stacks, rows)
+
+    monkeypatch.setattr(WordLayout, "distributions", counted)
+    wd = code.weight_distribution()
+    assert weighed == sizes
+    assert wd.tolist() == [math.comb(k, w) * (q - 1) ** w for w in range(n + 1)]
 
 
 @pytest.mark.parametrize("q,tower", [(2, 1), (3, 1), (4, 1), (2, 11)])
@@ -315,8 +372,9 @@ def test_contains_a_stack_matches_the_rank_test(q, tower):
 
 def test_weigher_lives_in_linear_codes():
     """Every weight distribution is streamed by WordLayout, so that the
-    weigher exists once."""
-    internal = re.compile(r"_BLOCK_CODEWORDS|\.weights\(")
+    weigher exists once, and no other module slices a word off a span, so
+    that a span lists the nonzero words everywhere."""
+    internal = re.compile(r"_BLOCK_CODEWORDS|\.weights\(|\bspan\([^\n]*\)\s*\[[^\]\n]*\d:")
     readers = [path.name for path in Path(qacodes.__file__).parent.glob("*.py")
                if internal.search(path.read_text(encoding="utf-8"))]
     assert readers == ["linear_codes.py"]

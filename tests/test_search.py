@@ -204,8 +204,10 @@ KERNEL_CASES = pytest.mark.parametrize("q,orders,index", [
 
 @KERNEL_CASES
 def test_kernel_weighs_like_the_flattened_code(q, orders, index):
-    """The packed-word kernel's weight distribution of a direct sum equals
-    the full enumeration of the flattened quasi-abelian code."""
+    """The packed-word kernel's weight distribution of a direct sum, summed
+    over its nonempty sub-assignments, equals the full enumeration of the
+    flattened quasi-abelian code.  Three candidates for the last class are
+    weighed in each call."""
     group = AbelianGroup(orders)
     dec = decompose_algebra(group, q)
     layout = word_layout(dec.spec.subfield(1), group.size * index)
@@ -215,17 +217,22 @@ def test_kernel_weighs_like_the_flattened_code(q, orders, index):
     for _ in range(4):
         assignment = _random_assignment(rng, dec, index, q)
         *first, last = sorted(assignment)
-        stacks = [layout.span(dec.flatten(i, assignment[i].gens))[None] for i in first]
-        # three candidates of the same dimension for the last class, weighed at once
+        spans = {i: layout.span(dec.flatten(i, assignment[i].gens))[None] for i in first}
+        # three candidates of the same dimension for the last class
         field, r = dec.spec.subfield(dec.classes[last].size), assignment[last].dim
         outers = [assignment[last]] + [_random_outer(rng, field, index, r) for _ in range(2)]
-        last_spans = np.stack([layout.span(dec.flatten(last, c.gens)) for c in outers])
+        spans[last] = np.stack([layout.span(dec.flatten(last, c.gens)) for c in outers])
         # a stack of codes flattens and spans to the stack of their spans
         assert np.array_equal(
-            layout.span(dec.flatten(last, np.stack([c.gens for c in outers]))), last_spans)
-        got = layout.distributions(stacks + [last_spans],
-                                   [[0] * len(first) + [c] for c in range(len(outers))])
-        for outer, row in zip(outers, got):
+            layout.span(dec.flatten(last, np.stack([c.gens for c in outers]))), spans[last])
+        total = np.zeros((len(outers), layout.length + 1), dtype=np.int64)
+        total[:, 0] = 1
+        for size in range(1, len(spans) + 1):
+            for sub in itertools.combinations(sorted(spans), size):
+                # the last class, if in the sub-assignment, is its last summand
+                rows = [[0] * (size - 1) + [c if last in sub else 0] for c in range(len(outers))]
+                total += layout.distributions([spans[i] for i in sub], rows)
+        for outer, row in zip(outers, total):
             qa = qa_from_constituents(group, q, index, {**assignment, last: outer})
             assert row.tolist() == qa.flattened.weight_distribution().tolist()
 
@@ -235,14 +242,14 @@ def test_zero_free_counts_add_up_to_the_weight_distribution(q, orders, index):
     """The identity the search weighs by: the weight distribution of a
     direct sum is the zero word plus, over all its nonempty sub-assignments,
     the weights of the sums in which every summand is nonzero, which the
-    weigher counts from spans without their zero word."""
+    weigher counts from the spans of the summands."""
     group = AbelianGroup(orders)
     dec = decompose_algebra(group, q)
     layout = word_layout(dec.spec.subfield(1), group.size * index)
     rng = np.random.default_rng(q * 100 + index)
     for _ in range(4):
         assignment = _random_assignment(rng, dec, index, q)
-        spans = {i: layout.span(dec.flatten(i, outer.gens))[None, 1:]
+        spans = {i: layout.span(dec.flatten(i, outer.gens))[None]
                  for i, outer in assignment.items()}
         total = np.zeros(layout.length + 1, dtype=np.int64)
         total[0] = 1
