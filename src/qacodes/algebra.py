@@ -758,6 +758,7 @@ def build_tower(q: int, group: AbelianGroup, modulus: Sequence[int] | None = Non
     """Field containing a primitive root of unity of order exponent(group),
     i.e. the splitting field of the group algebra over F_q.
     """
+    prime_power(q)
     if math.gcd(q, group.size) != 1:
         raise ValueError(
             f"gcd({q}, {group.size}) != 1: non-semisimple case out of scope")

@@ -3,7 +3,8 @@
 Subcommands: classes, decompose, construct, constituents, bound, distance,
 search, family, verify-paper.  Human-readable text by default; --json emits
 machine-readable documents built from the same descriptors the library
-reads.  Exit codes: 0 success, 2 bad usage or bad input, 3 enumeration cap
+reads.  Each handler returns its document and its text lines, and `main`
+alone prints one of them (the text after the version banner).  Exit codes: 0 success, 2 bad usage or bad input, 3 enumeration cap
 exceeded, 4 internal invariant violation (including reference-suite
 regressions).
 """
@@ -16,14 +17,15 @@ import json
 import sys
 
 from . import __version__
-from .algebra import AbelianGroup, modulus_str, prime_power
+from .algebra import AbelianGroup, modulus_str
 from .concatenation import (constituent_entry, constituents_of, distance_bound,
                             qa_from_descriptor, qa_to_descriptor)
 from .errors import CapExceededError, InvariantError
 from .families import FamilySpec, builtin_lcd_outers, family_report
 from .idempotents import cyclotomic_classes, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP,
-                           code_from_descriptor, code_to_descriptor, rows_to_strings)
+                           _json_value, code_from_descriptor, code_to_descriptor,
+                           rows_to_strings)
 from .reference import run_reference_suite
 from .search import Caps, SearchSpec, search
 
@@ -40,11 +42,21 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit_json(doc, fh=None) -> None:
-    """Write `doc` as indented, key-sorted JSON and a newline (to stdout by default)."""
-    fh = fh or sys.stdout
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def _json_text(doc) -> str:
+    """`doc` as indented, key-sorted JSON and a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: str | None, doc) -> None:
+    """Write `doc` to the --out path, if one was given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_json_text(doc))
+
+
+def _compact(coords) -> str:
+    """Group coordinates as a list without spaces, e.g. [1,0]."""
+    return str(list(coords)).replace(" ", "")
 
 
 def _params_doc(params) -> dict:
@@ -56,188 +68,136 @@ def _params_doc(params) -> dict:
     return doc
 
 
-def _banner(args) -> None:
-    if not args.json and not args.no_banner:
-        print(f"qacodes {__version__}")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its --json document and its text lines
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> tuple[dict, list[str]]:
     group = _parse_group(args.group)
     # the field degrees are the class sizes, so no splitting field is built
     classes = cyclotomic_classes(group, args.q)
-    prime_power(args.q)
-    degrees = [c.size for c in classes]
-    _banner(args)
-    if args.json:
-        _emit_json({
-            "q": args.q,
-            "group": list(group.orders),
-            "classes": [{"rep": list(c.rep.coords),
-                         "size": c.size,
-                         "members": [list(m.coords) for m in c.members]}
-                        for c in classes],
-            "field_degrees": degrees,
-        })
-        return 0
-    for c in classes:
-        members = ",".join(str(list(m.coords)).replace(" ", "") for m in c.members)
-        print(f"rep={str(list(c.rep.coords)).replace(' ', '')} size={c.size} "
-              f"members=[{members}]")
-    print("field degrees over F_%d: %s" % (args.q, " ".join(map(str, degrees))))
-    return 0
+    doc = {
+        "q": args.q,
+        "group": list(group.orders),
+        "classes": [{"rep": list(c.rep.coords),
+                     "size": c.size,
+                     "members": [list(m.coords) for m in c.members]}
+                    for c in classes],
+        "field_degrees": [c.size for c in classes],
+    }
+    lines = [f"rep={_compact(c['rep'])} size={c['size']} "
+             f"members=[{','.join(map(_compact, c['members']))}]" for c in doc["classes"]]
+    lines.append("field degrees over F_%d: %s"
+                 % (args.q, " ".join(map(str, doc["field_degrees"]))))
+    return doc, lines
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[dict, list[str]]:
     group = _parse_group(args.group)
     dec = decompose_algebra(group, args.q)
     spec = dec.spec
-    _banner(args)
-    if args.json:
-        _emit_json({
-            "q": args.q,
-            "group": list(group.orders),
-            "modulus": list(spec.modulus),
-            "root_order": spec.root_order,
-            "root_of_unity": spec.element_str(spec.xi_code),
-            "classes": [{"rep": list(c.rep.coords), "size": c.size}
-                        for c in dec.classes],
-            "idempotents": rows_to_strings(spec, [e.coeffs for e in dec.idempotents]),
-        })
-        return 0
-    print(f"algebra F_{args.q}[{group!r}], splitting field F_{spec.p}[x]/"
-          f"({modulus_str(spec.modulus)})")
-    print(f"designated root of unity: {spec.element_str(spec.xi_code)} "
-          f"(order {spec.root_order})")
-    for i, (c, e) in enumerate(zip(dec.classes, dec.idempotents)):
-        coeffs = " ".join(spec.element_str(int(v)) for v in e.coeffs)
-        print(f"class {i}: rep={str(list(c.rep.coords)).replace(' ', '')} "
-              f"degree={c.size} idempotent=[{coeffs}]")
-    return 0
+    doc = {
+        "q": args.q,
+        "group": list(group.orders),
+        "modulus": list(spec.modulus),
+        "root_order": spec.root_order,
+        "root_of_unity": spec.element_str(spec.xi_code),
+        "classes": [{"rep": list(c.rep.coords), "size": c.size} for c in dec.classes],
+        "idempotents": rows_to_strings(spec, [e.coeffs for e in dec.idempotents]),
+    }
+    lines = [f"algebra F_{args.q}[{group!r}], splitting field F_{spec.p}[x]/"
+             f"({modulus_str(spec.modulus)})",
+             f"designated root of unity: {doc['root_of_unity']} (order {spec.root_order})"]
+    lines += [f"class {i}: rep={_compact(c['rep'])} degree={c['size']} "
+              f"idempotent=[{' '.join(e)}]"
+              for i, (c, e) in enumerate(zip(doc["classes"], doc["idempotents"]))]
+    return doc, lines
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[dict, list[str]]:
     qa = qa_from_descriptor(_load_json(args.code))
-    flat = qa.flattened
     params = qa.params(args.cap_codewords)
-    _banner(args)
     doc = {
         "qa": qa_to_descriptor(qa),
         "params": _params_doc(params),
-        "flattened": code_to_descriptor(flat),
+        "flattened": code_to_descriptor(qa.flattened),
     }
+    _write_json(args.out, doc)
+    lines = [f"group={list(qa.group.orders)} q={qa.q} index={qa.index}"]
+    lines += [f"constituent at {_compact(rep.coords)}: [{code.length},{code.dim}] "
+              f"over degree-{code.field.degree} extension"
+              for rep, code in sorted(qa.constituents().items(), key=lambda t: t[0].index)]
+    lines.append(f"parameters: {params}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _emit_json(doc, fh)
-    if args.json:
-        _emit_json(doc)
-        return 0
-    print(f"group={list(qa.group.orders)} q={qa.q} index={qa.index}")
-    for rep, code in sorted(qa.constituents().items(), key=lambda t: t[0].index):
-        print(f"constituent at {str(list(rep.coords)).replace(' ', '')}: "
-              f"[{code.length},{code.dim}] over degree-{code.field.degree} extension")
-    print(f"parameters: {params}")
-    if args.out:
-        print(f"flattened descriptor written to {args.out}")
-    return 0
+        lines.append(f"flattened descriptor written to {args.out}")
+    return doc, lines
 
 
-def _cmd_constituents(args) -> int:
+def _cmd_constituents(args) -> tuple[dict, list[str]]:
     group = _parse_group(args.group)
     code = code_from_descriptor(_load_json(args.code))
-    outers = constituents_of(code, group)
-    _banner(args)
-    if args.json:
-        _emit_json({
-            "group": list(group.orders),
-            "constituents": [{"class_member": list(rep.coords),
-                              "code": code_to_descriptor(c)}
-                             for rep, c in sorted(outers.items(),
-                                                  key=lambda t: t[0].index)],
-        })
-        return 0
-    for rep, c in sorted(outers.items(), key=lambda t: t[0].index):
-        print(f"class {str(list(rep.coords)).replace(' ', '')}: "
-              f"[{c.length},{c.dim}] generators "
-              f"{rows_to_strings(c.field.spec, c.gens)}")
-    return 0
+    outers = sorted(constituents_of(code, group).items(), key=lambda t: t[0].index)
+    doc = {
+        "group": list(group.orders),
+        "constituents": [{"class_member": list(rep.coords), "code": code_to_descriptor(c)}
+                         for rep, c in outers],
+    }
+    lines = [f"class {_compact(e['class_member'])}: [{c.length},{c.dim}] "
+             f"generators {e['code']['generators']}"
+             for (_, c), e in zip(outers, doc["constituents"])]
+    return doc, lines
 
 
-def _cmd_bound(args) -> int:
-    qa = qa_from_descriptor(_load_json(args.code))
-    bound = distance_bound(qa, args.cap_codewords)
-    _banner(args)
-    if args.json:
-        _emit_json({"distance_lower_bound": bound})
-    else:
-        print(bound)
-    return 0
+def _cmd_bound(args) -> tuple[dict, list[str]]:
+    bound = distance_bound(qa_from_descriptor(_load_json(args.code)), args.cap_codewords)
+    return {"distance_lower_bound": bound}, [str(bound)]
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> tuple[dict, list[str]]:
     doc = _load_json(args.code)
     if isinstance(doc, dict) and "group" in doc:
         code = qa_from_descriptor(doc).flattened
     else:
         code = code_from_descriptor(doc)
     d = code.min_distance(args.cap_codewords)
-    _banner(args)
-    if args.json:
-        _emit_json({"length": code.length, "dim": code.dim, "distance": d})
-    else:
-        print(d)
-    return 0
+    return {"length": code.length, "dim": code.dim, "distance": d}, [str(d)]
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, list[str]]:
     group = _parse_group(args.group)
     spec = SearchSpec(q=args.q, group=group, index=args.index, d_min=args.dmin,
                       dim_target=args.dim, caps=args.caps)
     result = search(spec)
     dec = decompose_algebra(group, args.q)
-    entries = []
-    for e in result.codes:
-        entries.append({
-            "constituents": [constituent_entry(dec, i, c) for i, c in e.assignment],
-            "params": _params_doc(e.params),
-            "weight_distribution": list(e.fingerprint[2]),
-        })
     doc = {
         "q": args.q, "group": list(group.orders), "index": args.index,
         "d_min": args.dmin, "dim_target": args.dim,
-        "results": entries, "stats": result.stats,
+        "results": [{"constituents": [constituent_entry(dec, i, c) for i, c in e.assignment],
+                     "params": _params_doc(e.params),
+                     "weight_distribution": list(e.fingerprint[2])}
+                    for e in result.codes],
+        "stats": result.stats,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _emit_json(doc, fh)
-    _banner(args)
-    if args.json:
-        _emit_json(doc)
-        return 0
-    print(f"{len(result.codes)} fingerprint-distinct codes with distance >= {args.dmin}")
+    _write_json(args.out, doc)
+    lines = [f"{len(result.codes)} fingerprint-distinct codes with distance >= {args.dmin}"]
     for e in result.codes:
-        classes = ",".join(str(list(dec.classes[i].rep.coords)).replace(" ", "")
-                           for i in e.class_indices)
-        print(f"  {e.params} classes [{classes}] "
-              f"outer dims {[c.dim for _, c in e.assignment]}")
-    for s in result.stats.get("stages", []):
-        print(f"  stage {s['stage']}: {s['candidates']} candidates, "
-              f"{s['survivors']} survivors")
+        classes = ",".join(_compact(dec.classes[i].rep.coords) for i in e.class_indices)
+        lines.append(f"  {e.params} classes [{classes}] "
+                     f"outer dims {[c.dim for _, c in e.assignment]}")
+    lines += [f"  stage {s['stage']}: {s['candidates']} candidates, "
+              f"{s['survivors']} survivors" for s in result.stats.get("stages", [])]
     if args.out:
-        print(f"results written to {args.out}")
-    return 0
+        lines.append(f"results written to {args.out}")
+    return doc, lines
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, list[str]]:
     if args.outer:
-        doc = _load_json(args.outer)
-        outers = [code_from_descriptor(d) for d in doc]
+        outers = [code_from_descriptor(d)
+                  for d in _json_value(_load_json(args.outer), list, "outer codes")]
     else:
         outers = builtin_lcd_outers(args.q, args.max_outer_length)
     if args.lcd:
-        outers = [c for c in outers if c.hull_dimension() == 0]
+        outers = [c for c in outers if c.is_lcd()]
     outers.sort(key=lambda c: (c.length, c.dim, c.gens.tobytes()))
     spec = FamilySpec(q=args.q, p=args.p, outer_codes=outers,
                       lcd_required=args.lcd)
@@ -247,40 +207,24 @@ def _cmd_family(args) -> int:
     table = [[r.index, r.outer_length, r.length, r.dim,
               r.distance if r.distance is not None else f">={r.distance_bound}",
               str(r.rate), str(r.relative_distance), int(r.lcd)] for r in rows]
+    lines = [",".join(map(str, row)) for row in [header, *table]]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(table)
-    _banner(args)
-    if args.json:
-        _emit_json({"rows": [dict(zip(header, row)) for row in table]})
-        return 0
-    print(",".join(header))
-    for row in table:
-        print(",".join(str(x) for x in row))
-    if args.out:
-        print(f"report written to {args.out}")
-    return 0
+        lines.append(f"report written to {args.out}")
+    return {"rows": [dict(zip(header, row)) for row in table]}, lines
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> tuple[dict, list[str]]:
     checks = run_reference_suite(seed=args.seed)
-    _banner(args)
-    all_ok = all(ok for _, ok, _, _ in checks)
-    if args.json:
-        _emit_json({"checks": [{"name": n, "ok": ok, "detail": d, "seconds": s}
-                               for n, ok, d, s in checks],
-                    "all_ok": all_ok})
-    else:
-        for name, ok, detail, _ in checks:
-            line = f"{'PASS' if ok else 'FAIL'}  {name}"
-            if detail:
-                line += f"  ({detail})"
-            print(line)
-    if not all_ok:
-        raise InvariantError("reference suite regression")
-    return 0
+    doc = {"checks": [{"name": n, "ok": ok, "detail": d, "seconds": s}
+                      for n, ok, d, s in checks],
+           "all_ok": all(ok for _, ok, _, _ in checks)}
+    lines = [f"{'PASS' if c['ok'] else 'FAIL'}  {c['name']}"
+             + (f"  ({c['detail']})" if c["detail"] else "") for c in doc["checks"]]
+    return doc, lines
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +309,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.caps = Caps(args.cap_codewords, args.cap_subspaces)
-        return args.func(args)
+        doc, lines = args.func(args)
+        if args.json:
+            sys.stdout.write(_json_text(doc))
+        else:
+            if not args.no_banner:
+                print(f"qacodes {__version__}")
+            for line in lines:
+                print(line)
+        if not doc.get("all_ok", True):  # a failed verify-paper check
+            raise InvariantError("reference suite regression")
+        return 0
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

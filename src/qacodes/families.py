@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AbelianGroup, FieldSpec, _prime_factors, prime_power
-from .concatenation import QACode, qa_from_constituents
+from .concatenation import QACode, distance_bound, qa_from_constituents
 from .errors import CapExceededError
-from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
                            LinearCode, enumerate_codes)
 
@@ -52,7 +51,7 @@ class FamilySpec:
                 raise ValueError(f"outer code {i} is not over F_{self.q}")
             if code.dim < 1:
                 raise ValueError(f"outer code {i} is the zero code")
-            if self.lcd_required and code.hull_dimension() != 0:
+            if self.lcd_required and not code.is_lcd():
                 raise ValueError(
                     f"outer code {i} has a nonzero hull but lcd_required is set")
 
@@ -67,10 +66,8 @@ def family_member(spec: FamilySpec, i: int,
     class of zero.  Parameters are (p^2 n, k) exactly, with the exact
     distance when enumerable and the product bound otherwise."""
     outer = spec.outer_codes[i]
-    dec = decompose_algebra(spec.group, spec.q)
     qa = qa_from_constituents(spec.group, spec.q, outer.length, {0: outer})
-    d_inner = dec.minimal_ideal_code(0).min_distance(cap)
-    bound = d_inner * outer.min_distance(cap)
+    bound = distance_bound(qa, cap)
     flat = qa.flattened
     if flat.dim != outer.dim:
         raise ValueError("member dimension does not match the outer dimension")
@@ -86,7 +83,7 @@ def family_member(spec: FamilySpec, i: int,
 def verify_lcd_member(member: QACode) -> bool:
     """Hull check on the flattened member; zero-dimensional codes count as
     complementary dual."""
-    return member.flattened.hull_dimension() == 0
+    return member.flattened.is_lcd()
 
 
 @dataclass(frozen=True)
@@ -137,6 +134,6 @@ def builtin_lcd_outers(q: int, max_length: int = 4,
     out = []
     for n in range(1, max_length + 1):
         for code in enumerate_codes(field, n, cap):
-            if code.dim >= 1 and code.hull_dimension() == 0:
+            if code.dim >= 1 and code.is_lcd():
                 out.append(code)
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import (AbelianGroup, FieldElement, FieldSpec, GroupAlgebraElement,
                       GroupElement, _check_root_order, build_tower, character_table,
-                      convolve)
+                      convolve, prime_power)
 from .errors import InvariantError
 from .linear_codes import LinearCode, rank
 
@@ -45,6 +45,7 @@ def cyclotomic_classes(group: AbelianGroup, q: int) -> list[CyclotomicClass]:
 
     The class of 0 is the singleton {0} and always comes first.
     """
+    prime_power(q)
     if math.gcd(q, group.size) != 1:
         raise ValueError(f"gcd({q}, {group.size}) != 1: non-semisimple case out of scope")
     times_q = group.scalar_table(q).tolist()

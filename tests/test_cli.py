@@ -1,12 +1,14 @@
 """Command-line surface: outputs, exit codes, and round trips."""
 
+import ast
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from qacodes import diagnostics, reference
+from qacodes import __version__, cli, diagnostics, reference
 from qacodes.algebra import AbelianGroup
 from qacodes.cli import main
 from qacodes.concatenation import qa_to_descriptor
@@ -37,13 +39,43 @@ def test_classes_text(capsys):
     assert lines[-1].endswith("1 2 2 2 2")
 
 
-def test_classes_json_and_banner(capsys):
+def test_classes_json_and_banner(capsys, qa27_file, tmp_path):
     code, out, _ = run(capsys, "--json", "classes", "--q", "2", "--group", "5,5")
     assert code == 0
     doc = json.loads(out)
     assert doc["field_degrees"] == [1, 4, 4, 4, 4, 4, 4]
     code, out, _ = run(capsys, "classes", "--q", "2", "--group", "3,3")
     assert out.splitlines()[0].startswith("qacodes ")
+    # every millisecond subcommand: text mode puts the banner first,
+    # --no-banner prints the same text without it, --json the document alone
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps(code_to_descriptor(qa_27_6_12().flattened)))
+    for argv in (["classes", "--q", "2", "--group", "3,3"],
+                 ["decompose", "--q", "2", "--group", "3,3"],
+                 ["construct", "--code", qa27_file],
+                 ["constituents", "--code", str(flat), "--group", "3,3"],
+                 ["bound", "--code", qa27_file],
+                 ["distance", "--code", qa27_file],
+                 ["family", "--q", "2", "--p", "3", "--max-outer-length", "1"]):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and text.splitlines()[0] == f"qacodes {__version__}", argv
+        code, bare, _ = run(capsys, "--no-banner", *argv)
+        assert code == 0 and bare and bare == text.split("\n", 1)[1], argv
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 0 and isinstance(json.loads(out), dict), argv
+
+
+def test_handlers_do_not_print():
+    """Each subcommand handler returns its document and its text lines, and
+    `main` alone writes to stdout."""
+    module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [f for f in module.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("_cmd_")]
+    assert len(handlers) == 9
+    writers = [f.name for f in handlers for node in ast.walk(f)
+               if (isinstance(node, ast.Name) and node.id == "print")
+               or (isinstance(node, ast.Attribute) and node.attr == "stdout")]
+    assert writers == []
 
 
 @pytest.mark.parametrize("q,group,degrees", [("257", "2", "1 1"), ("2", "47", "1 23 23")],
@@ -131,6 +163,16 @@ def test_family_command(capsys, tmp_path):
     assert all(r.endswith(",1") for r in rows[1:])
 
 
+@pytest.mark.parametrize("doc", [5, None, {"q": 2}], ids=["int", "null", "object"])
+def test_family_outer_must_be_a_list(capsys, tmp_path, doc):
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--no-banner", "family", "--q", "2", "--p", "3",
+                         "--outer", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: descriptor outer codes must be a list, got {json.dumps(doc)}\n"
+
+
 def test_verify_paper(capsys):
     code, out, _ = run(capsys, "--no-banner", "verify-paper")
     assert code == 0
@@ -168,6 +210,13 @@ def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "--no-banner", "distance", "--code",
                        str(tmp_path / "missing.json"))
     assert code == 2
+    # q is checked to be a prime power before the semisimplicity test
+    for command, extra in (("classes", []), ("decompose", []),
+                           ("search", ["--index", "2", "--dmin", "8"])):
+        code, out, err = run(capsys, "--no-banner", command, "--q", "0", "--group", "3",
+                             *extra)
+        assert code == 2 and out == ""
+        assert err == "error: field size must be at least 2, got 0\n", command
     # enumeration cap exceeded maps to exit 3
     big = tmp_path / "big.json"
     big.write_text(json.dumps({
