@@ -196,8 +196,6 @@ def _cmd_family(args) -> tuple[dict, list[str]]:
                   for d in _json_value(_load_json(args.outer), list, "outer codes")]
     else:
         outers = builtin_lcd_outers(args.q, args.max_outer_length)
-    if args.lcd:
-        outers = [c for c in outers if c.is_lcd()]
     outers.sort(key=lambda c: (c.length, c.dim, c.gens.tobytes()))
     spec = FamilySpec(q=args.q, p=args.p, outer_codes=outers,
                       lcd_required=args.lcd)

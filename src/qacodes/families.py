@@ -53,7 +53,8 @@ class FamilySpec:
                 raise ValueError(f"outer code {i} is the zero code")
             if self.lcd_required and not code.is_lcd():
                 raise ValueError(
-                    f"outer code {i} has a nonzero hull but lcd_required is set")
+                    f"outer code {i} ([{code.length},{code.dim}]) has a nonzero hull "
+                    "but lcd_required is set")
 
     @property
     def group(self) -> AbelianGroup:

@@ -12,11 +12,17 @@ never more words than enumeration would.
 `WordLayout` is the one weigher, and a span lists the nonzero words of a
 space: `span` packs every nonzero combination of some rows, and
 `distributions` sums, for each of many candidates, one span from each of
-several stacks, so it weighs the sums in which every summand is nonzero,
-in blocks of at most 2^16 codewords.  A direct sum's codewords are the zero
-word and these sums for each nonempty set of its summands: a code is
-weighed as the sums of its first generator rows, of its last rows and of
-both, and the search weighs its direct sums the same way.
+several stacks, so it counts the prod(Q^k_i - 1) sums in which every
+summand is nonzero, in blocks of at most 2^16 codewords.  It weighs one
+sum of each projective point, prod(Q^k_i - 1)/(Q - 1) words: those whose
+first summand has leading coefficient 1 (`span` lists these words first),
+each counted Q - 1 times.  That is exact, since a nonzero scalar maps the
+sums onto themselves and keeps every weight; a weight-0 sum, a
+dependency, is still refused, since its multiples all weigh 0 and one of
+them is weighed.  A direct sum's codewords are the zero word and these
+sums for each nonempty set of its summands: a code is weighed as the sums
+of its first generator rows, of its last rows and of both, and the search
+weighs its direct sums the same way.
 """
 
 from __future__ import annotations
@@ -217,17 +223,27 @@ class WordLayout:
 
     def span(self, rows) -> np.ndarray:
         """Every nonzero combination of `rows` (element codes, last two axes)
-        over the layout's field, packed, the first row varying slowest: the
-        nonzero words of their row space if the rows are independent.  No
-        rows give an empty span."""
+        over the layout's field, packed: the nonzero words of their row
+        space if the rows are independent.  The (Q^r - 1)/(Q - 1)
+        combinations of r rows whose leading (first nonzero) coefficient
+        is 1 come first, one for each projective point, and their other
+        nonzero multiples follow, so that `distributions` can take
+        the first ones as a prefix (for Q = 2 the prefix is the whole span).
+        No rows give an empty span."""
         rows = np.asarray(rows, dtype=np.int32)
         if rows.ndim < 2 or not rows.shape[-2]:
             return np.zeros(rows.shape[:-2] + (0, self.words), dtype=np.uint64)
-        # the field multiples of each row: lines[..., r, c] = c-th element * row r
-        lines = self.pack(self.field.spec.vmul(self.field.elements[:, None],
-                                               rows[..., :, None, :]))
-        # the all-zero combination comes first
-        return self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])[..., 1:, :]
+        # the multiples of each row, coefficient 1 first and 0 second (the
+        # codes are sorted): lines[..., r, c] = c-th coefficient * row r
+        coefficients = self.field.elements[[1, 0, *range(2, self.field.size)]]
+        lines = self.pack(self.field.spec.vmul(coefficients[:, None], rows[..., :, None, :]))
+        # with the first row varying slowest, the combinations whose leading
+        # coefficient is 1 come first and the all-zero one right after them
+        full = self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])
+        if self.field.size == 2:  # the all-zero combination comes last
+            return full[..., :-1, :]
+        zero = (full.shape[-2] - 1) // (self.field.size - 1)
+        return np.concatenate((full[..., :zero, :], full[..., zero + 1:, :]), axis=-2)
 
     @property
     def batch(self) -> int:
@@ -239,14 +255,25 @@ class WordLayout:
         one row per candidate c: `stacks` holds spans, one stack per summand,
         and every candidate draws one span from each.
 
+        A span lists nonzero words, so these are the sums in which every
+        summand is nonzero, prod(Q^k_t - 1) of them for summands of
+        dimension k_t.  Only the (Q^k_0 - 1)/(Q - 1) words of the first
+        summand's span whose leading coefficient is 1 (the prefix `span`
+        lists first) are summed, and every count is multiplied by Q - 1.
+        That is exact: a nonzero scalar maps the all-nonzero sums onto
+        themselves and keeps every weight, and exactly one of the Q - 1
+        multiples of a sum has a first summand with leading coefficient 1.
         The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
         codewords, read at each call; the spans of a block are gathered for
-        it alone.  A span lists nonzero words, so these are the sums in
-        which every summand is nonzero.  None of them may have weight 0: one
-        that does is a dependency among the generators of its summands (a
-        span holding the zero word, or spans that meet).
+        it alone.  None of them may have weight 0: one that does is a
+        dependency among the generators of its summands (a span holding the
+        zero word, or spans that meet).  The multiples of a weight-0 sum
+        weigh 0 too, and one of them is summed, so none escapes.
         """
         n1 = self.length + 1
+        Q = self.field.size
+        if Q > 2:  # one sum for each projective point
+            stacks = [stacks[0][:, :stacks[0].shape[1] // (Q - 1)], *stacks[1:]]
         rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(stacks))
         m = len(rows)
         sizes = [s.shape[1] for s in stacks]
@@ -289,6 +316,8 @@ class WordLayout:
                         out[c] += np.bincount(w.ravel(), minlength=n1)
         if np.count_nonzero(out[:, 0]):
             raise InvariantError("direct sum generators are not independent")
+        if Q > 2:
+            out *= Q - 1
         return out
 
 

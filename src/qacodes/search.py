@@ -30,7 +30,12 @@ dimension target; those that are not siblings count among the pruned.
 
 A span lists the nonzero words of its piece, so the weigher counts only a
 candidate's all-nonzero words, the sums in which every summand is nonzero:
-prod(q^k_i - 1) words for summands of dimension k_i, not q^k.  The
+prod(q^k_i - 1) words for summands of dimension k_i, not q^k.  It weighs
+one word of each projective point, prod(q^k_i - 1)/(q - 1) words, the sums
+whose first summand has leading coefficient 1, and counts each q - 1
+times: a nonzero scalar keeps the weight of a sum and maps the all-nonzero
+sums onto themselves.  A weight-0 sum (dependent summands) is still
+refused, since one of its multiples, all of weight 0, is weighed.  The
 candidate is pruned iff one of them weighs less than the target.  That is
 exact: any other nonzero word has a zero summand, so it lies in a proper
 sub-assignment, which survived (the subset-closure test), and weighs at
@@ -162,7 +167,7 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
         _check_cap(spec, 1, n, dim)
         spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))
         counts["weighed"] += len(group)
-        counts["words"] += spans.shape[0] * spans.shape[1]
+        counts["words"] += spans.shape[0] * (spans.shape[1] // (spec.q - 1))
         wds = layout.distributions([spans], np.arange(len(group)))
         for outer, span, wd in zip(group, spans, wds):
             if not wd[1:spec.d_min].any():
@@ -172,7 +177,8 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
 def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
     """One stage's entry of SearchResult.stats; `weighed` counts the
     candidates whose weight distribution was computed and `words` the
-    codewords weighed for them."""
+    codewords actually weighed for them: one of each projective point,
+    prod(q^k_i - 1)/(q - 1) per candidate of summand dimensions k_i."""
     seconds = time.perf_counter() - start_time
     return {"stage": stage, **counts, "survivors": survivors, "seconds": seconds,
             "weighed_per_s": counts["weighed"] / seconds if seconds > 0 else 0.0}
@@ -359,7 +365,8 @@ def search(spec: SearchSpec) -> SearchResult:
         survived, found = [], []
         for members, signature in zip(np.split(order, starts[1:]), signatures[starts].tolist()):
             summands = [stacks[k] for k in signature]
-            counts["words"] += len(members) * math.prod(s.shape[1] for s in summands)
+            counts["words"] += (len(members) * math.prod(s.shape[1] for s in summands)
+                                // (spec.q - 1))
             wd = layout.distributions(summands, slot[tuples[members]])
             good = ~wd[:, 1:d_min].any(axis=1)
             survived.append(members[good])

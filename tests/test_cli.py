@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from qacodes import __version__, cli, diagnostics, reference
-from qacodes.algebra import AbelianGroup
+from qacodes.algebra import AbelianGroup, FieldSpec
 from qacodes.cli import main
 from qacodes.concatenation import qa_to_descriptor
 from qacodes.idempotents import SemisimpleDecomposition
-from qacodes.linear_codes import code_to_descriptor
+from qacodes.linear_codes import LinearCode, code_to_descriptor
 from qacodes.reference import qa_27_6_12
+
+F2 = FieldSpec(2, 1).subfield(1)
 
 
 @pytest.fixture()
@@ -161,6 +163,36 @@ def test_family_command(capsys, tmp_path):
     assert rows[0] == "i,n_i,length,dim,distance_exact_or_bound,rate,rel_distance,lcd"
     assert len(rows) == 5  # four LCD outer codes of length <= 2
     assert all(r.endswith(",1") for r in rows[1:])
+
+
+def test_family_lcd_refuses_a_non_lcd_outer_file(capsys, tmp_path):
+    """`--lcd` checks a user's outer codes rather than dropping the ones
+    with a nonzero hull: the [3,1] code spanned by 110 has hull 1."""
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps([code_to_descriptor(LinearCode(F2, 3, [[1, 1, 0]]))]))
+    code, out, err = run(capsys, "--no-banner", "family", "--q", "2", "--p", "3",
+                         "--lcd", "--outer", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: outer code 0 ([3,1]) has a nonzero hull but "
+                   "lcd_required is set\n")
+
+
+def test_family_lcd_computes_fewer_hulls(capsys, monkeypatch):
+    """The built-in LCD outer codes are not filtered by hull a second time:
+    `family --q 2 --p 3 --lcd` computed 236 hulls for its 50 rows when they
+    were."""
+    calls = []
+    hull_dimension = LinearCode.hull_dimension
+
+    def counted(self):
+        calls.append(self)
+        return hull_dimension(self)
+
+    monkeypatch.setattr(LinearCode, "hull_dimension", counted)
+    code, out, _ = run(capsys, "--no-banner", "family", "--q", "2", "--p", "3", "--lcd")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 51
+    assert len(calls) < 236
 
 
 @pytest.mark.parametrize("doc", [5, None, {"q": 2}], ids=["int", "null", "object"])

@@ -305,6 +305,64 @@ def test_span_lists_the_nonzero_words(q, tower, degree):
     assert layout.span(np.zeros((3, 0, n), dtype=np.int32)).shape == (3, 0, layout.words)
 
 
+@pytest.mark.parametrize("q,tower,degree", [(3, 1, 1), (4, 1, 1), (5, 1, 1), (7, 1, 1),
+                                             (8, 1, 1), (9, 1, 1), (2, 4, 2)],
+                         ids=["F3", "F4", "F5", "F7", "F8", "F9", "F4-in-F16"])
+def test_distributions_weigh_one_word_per_projective_point(q, tower, degree):
+    """The weigher sums only the words of the first summand's span whose
+    leading coefficient is 1 (the span lists them first) and counts each
+    sum Q - 1 times.  On 1, 2 and 3 stacked spans of random independent
+    rows that equals a naive count of every sum in which each summand is a
+    nonzero combination of its rows, built from vadd and vmul alone."""
+    field = _field(q, tower, degree)
+    spec, Q, n = field.spec, field.size, 6
+    layout = linear_codes.word_layout(field, n)
+    one = int(field.elements[1])
+    rng = np.random.default_rng(Q)
+
+    def combinations(rows):
+        """(leading coefficient, word) of every nonzero combination of rows."""
+        out = []
+        for msg in itertools.product(field.elements.tolist(), repeat=len(rows)):
+            if any(msg):
+                w = np.zeros(n, dtype=np.int32)
+                for c, row in zip(msg, rows):
+                    w = spec.vadd(w, spec.vmul(c, row))
+                out.append((next(c for c in msg if c), w))
+        return out
+
+    def naive(summands):
+        counts = [0] * (n + 1)
+        for words in itertools.product(*(combinations(rows) for rows in summands)):
+            total = np.zeros(n, dtype=np.int32)
+            for _, w in words:
+                total = spec.vadd(total, w)
+            counts[int(np.count_nonzero(total))] += 1
+        return counts
+
+    for dims in ([2], [2, 1], [1, 1, 1]):
+        # three candidates, each with independent rows split among the summands
+        candidates = []
+        while len(candidates) < 3:
+            rows = rng.choice(field.elements, size=(sum(dims), n)).astype(np.int32)
+            if LinearCode(field, n, rows).dim == sum(dims):
+                candidates.append(np.split(rows, np.cumsum(dims)[:-1]))
+        # each stack holds the candidates' spans in its own order
+        orders = [rng.permutation(3) for _ in dims]
+        stacks = [layout.span(np.stack([candidates[c][t] for c in order]))
+                  for t, order in enumerate(orders)]
+        rows = [[int(np.flatnonzero(order == c)[0]) for order in orders] for c in range(3)]
+        got = layout.distributions(stacks, rows)
+        assert (got % (Q - 1) == 0).all()
+        for c, summands in enumerate(candidates):
+            assert got[c].tolist() == naive(summands)
+            # the span's prefix: its combinations with leading coefficient 1
+            span = layout.span(summands[0])
+            prefix = [w for lead, w in combinations(summands[0]) if lead == one]
+            assert sorted(map(tuple, span[:len(span) // (Q - 1)].tolist())) == \
+                sorted(map(tuple, layout.pack(np.array(prefix)).tolist()))
+
+
 def test_distributions_reject_dependent_spans():
     """A weight-0 sum is a dependency among the generators: two spans that
     share a word, or a span that holds the zero word.  The weigher refuses
@@ -324,6 +382,19 @@ def test_distributions_reject_dependent_spans():
     with_zero = np.vstack([np.zeros((1, 1), dtype=np.uint64), binary.span(rows2)])
     with pytest.raises(InvariantError):
         binary.distributions([with_zero[None]], [0])
+    # over F_4 = {0, 1, a, a^2} the first summand's prefix is weighed alone:
+    # r0 + a^2 r1 (leading coefficient 1) meets the span of a r0 + r1 only at
+    # its multiple a^2 (a r0 + r1), so the shared word is found at a non-unit
+    # multiple of both summands' second rows
+    F4 = linear_codes.word_layout(_field(4), 4)
+    spec4, a = F4.field.spec, 2
+    r0, r1 = np.array([1, 0, 1, a]), np.array([0, 1, a, 1])
+    shared = spec4.vadd(spec4.vmul(a, r0), r1)
+    with pytest.raises(InvariantError):
+        F4.distributions([F4.span([r0, r1])[None], F4.span([shared])[None]], [0, 0])
+    # dependent rows over F_4 span the zero word
+    with pytest.raises(InvariantError):
+        F4.distributions([F4.span([r0, r1, shared])[None]], [0])
     # independent spans: the zero word plus the sums of each nonempty sub-sum
     head, tail = layout.span(rows[:1])[None], layout.span(rows[1:])[None]
     got = sum(layout.distributions(sub, [0] * len(sub))[0]

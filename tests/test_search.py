@@ -118,6 +118,18 @@ def test_search_stage_counts():
     assert (first["candidates"], first["singleton"], first["survivors"]) == (28, 4, 1)
 
 
+@pytest.mark.parametrize("q,orders,index,d_min,all_nonzero", [
+    (4, (3, 3), 2, 12, [270, 2916, 61236, 669222, 708588]),
+    (3, (2, 2), 2, 3, [64, 1536, 2944, 4096, 0]),
+], ids=["q4-C3xC3", "q3-C2xC2"])
+def test_search_weighs_one_word_per_projective_point(q, orders, index, d_min, all_nonzero):
+    """Over F_q a stage weighs one of the q - 1 scalar multiples of each
+    all-nonzero sum: its `words` are the all-nonzero sums of its weighed
+    candidates, prod(q^k_i - 1) each, divided by q - 1."""
+    res = search(SearchSpec(q=q, group=AbelianGroup(orders), index=index, d_min=d_min))
+    assert [s["words"] for s in res.stats["stages"]] == [w // (q - 1) for w in all_nonzero]
+
+
 def test_search_keeps_least_assignment_per_fingerprint():
     """Each fingerprint is reported with its least assignment under the
     (class index, generator bytes) order, whatever order the search meets
