@@ -4,7 +4,9 @@ Subcommands: classes, decompose, construct, constituents, bound, distance,
 search, family, verify-paper.  Human-readable text by default; --json emits
 machine-readable documents built from the same descriptors the library
 reads.  Each handler returns its document and its text lines, and `main`
-alone prints one of them (the text after the version banner).  Exit codes: 0 success, 2 bad usage or bad input, 3 enumeration cap
+alone prints one of them (the text after the version banner).  The parser
+is built at the first `main` call of a process and reused by the next ones.
+Exit codes: 0 success, 2 bad usage or bad input, 3 enumeration cap
 exceeded, 4 internal invariant violation (including reference-suite
 regressions).
 """
@@ -15,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .algebra import AbelianGroup, modulus_str
@@ -195,10 +198,11 @@ def _cmd_family(args) -> tuple[dict, list[str]]:
         outers = [code_from_descriptor(d)
                   for d in _json_value(_load_json(args.outer), list, "outer codes")]
     else:
+        # the library is the hull filter, so --lcd has nothing more to check
         outers = builtin_lcd_outers(args.q, args.max_outer_length)
     outers.sort(key=lambda c: (c.length, c.dim, c.gens.tobytes()))
     spec = FamilySpec(q=args.q, p=args.p, outer_codes=outers,
-                      lcd_required=args.lcd)
+                      lcd_required=args.lcd and bool(args.outer))
     rows = family_report(spec, args.cap_codewords)
     header = ["i", "n_i", "length", "dim", "distance_exact_or_bound", "rate",
               "rel_distance", "lcd"]
@@ -228,7 +232,11 @@ def _cmd_verify_paper(args) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 # parser
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse's set-up
+    costs more than a small command, and parsing leaves the parser as it
+    was, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="qacodes",
         description="Quasi-abelian codes: decomposition, concatenation, "
@@ -290,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer-length", type=int, default=4,
                    help="built-in library length limit")
     p.add_argument("--lcd", action="store_true",
-                   help="require complementary-dual outer codes")
+                   help="require complementary-dual outer codes (the built-in "
+                        "library holds only such codes)")
     p.add_argument("--out", help="write CSV report here")
     p.set_defaults(func=_cmd_family)
 

@@ -315,28 +315,40 @@ def distance_bound(obj, cap: int = DEFAULT_CODEWORD_CAP) -> int:
     """Lower bound on the minimum distance of a concatenated code:
     with outer codes sorted by ascending distance, the minimum over v of
     d(outer_v) * d(inner_1 + ... + inner_v), all distances exact.
+
+    For a quasi-abelian code the inner sums are sums of minimal ideals,
+    whose distances the decomposition computes once per set of classes
+    (`ideal_sum_distance`); a concatenation scheme's inner sums are built
+    and weighed at each call.  Either way `cap` bounds every enumeration
+    and is checked on every distance, kept or not.
     """
-    # one slot per nonzero outer code: (outer, generator rows of its inner code)
+    # one slot per nonzero outer code: (outer, key of its inner code), and
+    # the distance of the sum of the inner codes of a list of keys
     if isinstance(obj, QACode):
         dec = obj.decomposition
-        slots = [(outer, dec.psi_matrix(i)) for i, outer in obj.assignment.items()]
-        field, n = dec.spec.subfield(1), dec.group.size
+        slots = [(outer, i) for i, outer in obj.assignment.items()]
         if not slots:
             raise ValueError("the zero code has no distance bound")
+
+        def inner_distance(keys) -> int:
+            return dec.ideal_sum_distance(keys, cap)
     elif isinstance(obj, GCCScheme):
         slots = [(outer, inner.gens) for inner, outer in zip(obj.inners, obj.outers)
                  if outer.dim > 0]
         field, n = obj.inners[0].field, obj.inner_length
         if not slots:
             raise ValueError("all outer codes are zero; no distance bound")
+
+        def inner_distance(keys) -> int:
+            return LinearCode(field, n, np.vstack(keys)).min_distance(cap)
     else:
         raise TypeError(f"expected a quasi-abelian code or a concatenation scheme, "
                         f"got {type(obj).__name__}")
     # the order among equal outer distances cannot change the minimum
-    ranked = sorted(((outer.min_distance(cap), rows) for outer, rows in slots),
+    ranked = sorted(((outer.min_distance(cap), key) for outer, key in slots),
                     key=lambda t: t[0])
-    return min(d * LinearCode(field, n, np.vstack([rows for _, rows in ranked[:v]]))
-               .min_distance(cap) for v, (d, _) in enumerate(ranked, 1))
+    return min(d * inner_distance([key for _, key in ranked[:v]])
+               for v, (d, _) in enumerate(ranked, 1))
 
 
 def predict_params(inner_length: int, inner_dims: Sequence[int],

@@ -22,7 +22,7 @@ from .algebra import (AbelianGroup, FieldElement, FieldSpec, GroupAlgebraElement
                       GroupElement, _check_root_order, build_tower, character_table,
                       convolve, prime_power)
 from .errors import InvariantError
-from .linear_codes import LinearCode, rank
+from .linear_codes import DEFAULT_CODEWORD_CAP, LinearCode, rank
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,9 @@ class SemisimpleDecomposition:
             self._psi_matrix.append(psi_rows)
 
         self._ideal_codes: dict[int, LinearCode] = {}
+        # each sum of minimal ideals whose distance was asked for, and that
+        # distance, by set of classes
+        self._sum_distances: dict[frozenset[int], tuple[LinearCode, int]] = {}
         self._validate()
 
     # -- small helpers -------------------------------------------------------
@@ -252,6 +255,21 @@ class SemisimpleDecomposition:
         """Direct sum of several minimal ideals as one base-field code."""
         rows = np.vstack([self._psi_matrix[i] for i in indices])
         return LinearCode(self.spec.subfield(1), self.group.size, rows)
+
+    def ideal_sum_distance(self, indices, cap: int = DEFAULT_CODEWORD_CAP) -> int:
+        """Exact minimum distance of the sum of the minimal ideals of
+        `indices`, computed at the first call for its set of classes and
+        kept.  It depends on the decomposition alone, so every bound and
+        prediction over it reads the same value; the codeword cap is still
+        checked on every call, with the message of `min_distance`."""
+        key = frozenset(indices)
+        kept = self._sum_distances.get(key)
+        if kept is None:
+            code = self.ideal_sum_code(sorted(key))
+            kept = self._sum_distances[key] = (code, code.min_distance(cap))
+        else:
+            kept[0]._codeword_count(cap)
+        return kept[1]
 
     # -- eager validation -------------------------------------------------------
 

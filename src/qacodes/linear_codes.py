@@ -626,12 +626,31 @@ def frobenius_twist(code: LinearCode, times: int = 1) -> LinearCode:
 # ---------------------------------------------------------------------------
 # embeddings between presentations
 
+@lru_cache(maxsize=64)
+def _embedding_table(src: Subfield, dst: Subfield) -> np.ndarray:
+    """Codes in dst's presentation of every element code of src's: x goes
+    to the smallest root of src's modulus.  Keyed by the base fields of the
+    two presentations, so it is built once for each pair of them."""
+    src, dst = src.spec, dst.spec
+    # prime-field digits and coefficients are their own codes in any presentation
+    powers = dst.vpow(np.arange(dst.size)[:, None], np.arange(src.n + 1))
+    roots = np.flatnonzero(dst.vdot(powers, src.modulus) == 0)
+    if not len(roots):
+        raise InvariantError("source modulus has no root in the target field")
+    table = dst.vdot(src._digits, powers[roots[0], :src.n])
+    table.setflags(write=False)
+    return table
+
+
 def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
     """Re-express a code inside another field presentation.
 
     The source field F_{q^degree} must embed into the target tower; the
     embedding sends the source presentation's x to the smallest root of the
-    source modulus in the target field (deterministic).
+    source modulus in the target field (deterministic).  Its table of images
+    is found once per pair of presentations (`_embedding_table`); each
+    embedded code is still brought to RREF.  A code already in the target's
+    presentation is only relabelled.
     """
     src = code.field.spec
     dst = target.spec
@@ -644,12 +663,7 @@ def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
     if dst.n % src.n != 0:
         raise ValueError(
             f"no embedding of a degree-{src.n} field into a degree-{dst.n} field")
-    # prime-field digits and coefficients are their own codes in any presentation
-    powers = dst.vpow(np.arange(dst.size)[:, None], np.arange(src.n + 1))
-    roots = np.flatnonzero(dst.vdot(powers, src.modulus) == 0)
-    if not len(roots):
-        raise InvariantError("source modulus has no root in the target field")
-    table = dst.vdot(src._digits, powers[roots[0], :src.n])
+    table = _embedding_table(src.subfield(1), dst.subfield(1))
     return LinearCode(target, code.length, table[code.gens])
 
 

@@ -83,7 +83,7 @@ def binary_inner_data():
     dec = decompose_algebra(AbelianGroup((5, 5)), 2)
     idx = [dec.class_index(t) for t in LARGE_EXAMPLE_CLASSES]
     singles = [dec.minimal_ideal_code(i) for i in idx]
-    prefix = [dec.ideal_sum_code(idx[: v + 1]).min_distance() for v in range(4)]
+    prefix = [dec.ideal_sum_distance(idx[: v + 1]) for v in range(4)]
     return singles, prefix
 
 
@@ -100,7 +100,7 @@ def predict_164025(full_sum_distance: int = 4) -> CodeParams:
     enumeration cap)."""
     dec = decompose_algebra(AbelianGroup((5, 5)), 3)
     idx = [dec.class_index(t) for t in LARGE_EXAMPLE_CLASSES]
-    prefix = [dec.ideal_sum_code(idx[: v + 1]).min_distance() for v in range(3)]
+    prefix = [dec.ideal_sum_distance(idx[: v + 1]) for v in range(3)]
     prefix.append(full_sum_distance)
     return predict_params(25, [4, 4, 4, 4], prefix,
                           [CodeParams(6561, 5076, 55)] * 4, [4, 4, 4, 4])

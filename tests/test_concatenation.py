@@ -2,6 +2,7 @@
 and the distance bound."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from qacodes.concatenation import (GCCScheme, QACode, block_idempotent, constitu
                                    is_qa, predict_params, qa_from_constituents,
                                    qa_from_descriptor, qa_to_descriptor,
                                    simple_scheme)
-from qacodes.idempotents import decompose_algebra
+from qacodes.errors import CapExceededError
+from qacodes.idempotents import SemisimpleDecomposition, decompose_algebra
 from qacodes.linear_codes import CodeParams, LinearCode
 from qacodes.reference import qa_27_6_12, qa_36_6_16, qa_50_12_18
 
@@ -265,6 +267,92 @@ def test_distance_bound_values(instances):
     scheme.outers[:] = [zero] * len(scheme.outers)
     with pytest.raises(ValueError, match="all outer codes are zero"):
         distance_bound(scheme)
+
+
+def _nested_sum_bound(qa: QACode) -> int:
+    """The concatenation bound with every nested sum of minimal ideals built
+    and weighed afresh: the reference for the decomposition's kept
+    distances."""
+    dec = qa.decomposition
+    ranked = sorted(((outer.min_distance(), i) for i, outer in qa.assignment.items()),
+                    key=lambda t: t[0])
+    return min(d * LinearCode(dec.spec.subfield(1), dec.group.size,
+                              np.vstack([dec.psi_matrix(i) for _, i in ranked[:v]]))
+               .min_distance() for v, (d, _) in enumerate(ranked, 1))
+
+
+def _random_qa_codes(dec: SemisimpleDecomposition, ell: int, seed: int, count: int):
+    """`count` nonzero QA codes over `dec` with random constituents."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        assignment = {}
+        for i in rng.sample(range(dec.class_count), rng.randrange(1, dec.class_count + 1)):
+            k = dec.classes[i].size
+            elems = dec.spec.subfield_codes(k).tolist()
+            rows = [[rng.choice(elems) for _ in range(ell)]
+                    for _ in range(rng.randrange(1, ell + 1))]
+            assignment[i] = LinearCode(dec.spec.subfield(k), ell, rows)
+        qa = QACode(dec, ell, assignment)
+        if qa.assignment:
+            out.append(qa)
+    return out
+
+
+@pytest.mark.parametrize("q,orders,ell", [
+    (2, (3, 3), 3), (3, (2, 2), 2), (4, (3, 3), 2), (2, (7,), 2), (3, (4,), 3),
+])
+def test_distance_bound_reads_the_kept_nested_sum_distances(monkeypatch, q, orders, ell):
+    """On a fresh decomposition and again once its nested-sum distances are
+    kept, `distance_bound` equals the bound with every nested sum weighed
+    afresh; a warm call weighs no inner sum, only the outer codes."""
+    dec = SemisimpleDecomposition(AbelianGroup(orders), q)
+    codes = _random_qa_codes(dec, ell, seed=q * 1000 + sum(orders) * 10 + ell, count=4)
+    want = [_nested_sum_bound(qa) for qa in codes]
+    assert [distance_bound(qa) for qa in codes] == want
+    assert dec._sum_distances
+    weighed = []
+    min_distance = LinearCode.min_distance
+
+    def counted(self, cap=2 ** 24):
+        weighed.append(self)
+        return min_distance(self, cap)
+
+    monkeypatch.setattr(LinearCode, "min_distance", counted)
+    assert [distance_bound(qa) for qa in codes] == want
+    assert len(weighed) == sum(len(qa.assignment) for qa in codes)
+
+
+def test_reference_bounds_on_a_cold_and_a_warm_decomposition(instances):
+    for qa in instances.values():
+        modulus = qa.decomposition.spec.modulus
+        cold = QACode(SemisimpleDecomposition(qa.group, qa.q, modulus=modulus),
+                      qa.index, qa.assignment)
+        want = _nested_sum_bound(qa)
+        assert distance_bound(cold) == distance_bound(cold) == want
+        assert distance_bound(qa) == want
+
+
+def test_kept_nested_sum_distances_still_check_the_cap():
+    """A cap below q^k of a sum whose distance is kept still refuses it,
+    with the message of the enumeration it refuses."""
+    qa = qa_50_12_18()
+    dec = SemisimpleDecomposition(qa.group, qa.q)
+    cold = QACode(dec, qa.index, qa.assignment)
+    # the outer codes have 16 codewords and a single ideal 16; a sum of two has 256
+    with pytest.raises(CapExceededError) as before:
+        distance_bound(cold, 255)
+    assert distance_bound(cold) == 12
+    with pytest.raises(CapExceededError) as after:
+        distance_bound(cold, 255)
+    assert str(after.value) == str(before.value) == (
+        "codeword enumeration for [25,8] over a size-2 field: would need 256 > cap 255")
+    pair = list(cold.assignment)[:2]
+    with pytest.raises(CapExceededError) as direct:
+        dec.ideal_sum_code(pair).min_distance(255)
+    with pytest.raises(CapExceededError) as kept:
+        dec.ideal_sum_distance(pair, 255)
+    assert str(kept.value) == str(direct.value)
 
 
 def test_predict_params_examples():

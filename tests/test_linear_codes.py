@@ -561,6 +561,52 @@ def test_embed_code():
         embed_code(c4, FieldSpec(3, 2).subfield(2))
 
 
+# (source field, generator rows, target field, RREF of the embedded code as
+# the per-call table gave it)
+_EMBEDDINGS = {
+    "F2->F16": (lambda: FieldSpec(2, 1).subfield(1), [[1, 0, 1, 1], [0, 1, 1, 0]],
+                lambda: build_tower(2, AbelianGroup((5, 5))).subfield(1),
+                [[1, 0, 1, 1], [0, 1, 1, 0]]),
+    "F4->F16": (lambda: FieldSpec(2, 2).subfield(2), [[1, 2, 3, 0], [0, 1, 3, 2]],
+                lambda: FieldSpec(2, 4).subfield(2), [[1, 0, 6, 7], [0, 1, 7, 6]]),
+    "F4->F16-over-F4": (lambda: FieldSpec(4, 1).subfield(1), [[1, 2, 3, 0], [0, 1, 3, 2]],
+                        lambda: build_tower(4, AbelianGroup((5, 5))).subfield(1),
+                        [[1, 0, 6, 7], [0, 1, 7, 6]]),
+    "F3->F9": (lambda: FieldSpec(3, 1).subfield(1), [[1, 2, 0, 1], [0, 1, 1, 2]],
+               lambda: FieldSpec(3, 2).subfield(1), [[1, 0, 1, 0], [0, 1, 1, 2]]),
+    "F9->F81": (lambda: FieldSpec(3, 2).subfield(2), [[1, 5, 0, 7], [0, 1, 8, 3]],
+                lambda: FieldSpec(3, 4).subfield(2), [[1, 0, 77, 43], [0, 1, 76, 43]]),
+    "same": (lambda: FieldSpec(4, 1).subfield(1), [[1, 2, 3, 0], [0, 1, 3, 2]],
+             lambda: FieldSpec(4, 1).subfield(1), [[1, 0, 2, 3], [0, 1, 3, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_EMBEDDINGS))
+def test_embed_code_builds_one_table_per_pair_of_presentations(case):
+    """Embedding many codes between two presentations builds the table of
+    images once, even through new objects of the same presentations, and
+    every embedded code is the one the per-call table gave.  The table is a
+    field homomorphism."""
+    make_src, rows, make_dst, want = _EMBEDDINGS[case]
+    linear_codes._embedding_table.cache_clear()
+    for _ in range(3):
+        src, dst = make_src(), make_dst()
+        code = LinearCode(src, 4, rows)
+        emb = embed_code(code, dst)
+        assert emb.field == dst and emb.gens.tolist() == want
+        assert emb.weight_distribution().tolist() == code.weight_distribution().tolist()
+        assert embed_code(LinearCode(src, 4, rows[:1]), dst).dim == 1
+    src, dst = make_src().spec, make_dst().spec
+    if src.same_presentation(dst):  # relabelled, no table
+        assert linear_codes._embedding_table.cache_info().misses == 0
+        return
+    assert linear_codes._embedding_table.cache_info().misses == 1
+    table = linear_codes._embedding_table(src.subfield(1), dst.subfield(1))
+    a, b = np.meshgrid(np.arange(src.size), np.arange(src.size))
+    assert np.array_equal(table[src.vadd(a, b)], dst.vadd(table[a], table[b]))
+    assert np.array_equal(table[src.vmul(a, b)], dst.vmul(table[a], table[b]))
+
+
 def test_descriptor_roundtrip():
     spec16 = build_tower(2, AbelianGroup((5, 5)))
     f16 = spec16.subfield(4)
