@@ -256,6 +256,8 @@ class FieldSpec:
         self._log = log
 
         self._neg = self._from_digits((p - digits) % p)
+        # inverse codes, with 0 for 0, so that a stack of pivots scales at once
+        self._inv = np.where(np.arange(self.size) == 0, 0, exp[(N - log) % N]).astype(np.int32)
 
         if pair_tables is None:
             pair_tables = self.size <= _PAIR_TABLE_LIMIT

@@ -344,9 +344,18 @@ def distance_bound(obj, cap: int = DEFAULT_CODEWORD_CAP) -> int:
     else:
         raise TypeError(f"expected a quasi-abelian code or a concatenation scheme, "
                         f"got {type(obj).__name__}")
+    return concatenation_bound([(outer.min_distance(cap), key) for outer, key in slots],
+                               inner_distance)
+
+
+def concatenation_bound(slots, inner_distance) -> int:
+    """The bound of `distance_bound` from exact distances: `slots` pairs the
+    distance of each outer code with the key of its inner code, and
+    `inner_distance(keys)` is the distance of the sum of the inner codes of
+    a list of keys.  The slots are ranked by ascending outer distance, and
+    the bound is the minimum over v of d_v * inner_distance(first v keys)."""
     # the order among equal outer distances cannot change the minimum
-    ranked = sorted(((outer.min_distance(cap), key) for outer, key in slots),
-                    key=lambda t: t[0])
+    ranked = sorted(slots, key=lambda t: t[0])
     return min(d * inner_distance([key for _, key in ranked[:v]])
                for v, (d, _) in enumerate(ranked, 1))
 

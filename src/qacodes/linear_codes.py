@@ -4,6 +4,9 @@ Generator matrices are held in reduced row echelon form, which makes them a
 canonical representative of the row space: two codes are equal iff their
 matrices are identical, and a vector lies in the code iff it equals its
 pivot entries times the generators (`contains` tests a stack at once).
+Codes of one shape can also be handled as a stack of generator matrices:
+`rref`, `rank`, `hull_dimensions` and `weight_distributions` treat a whole
+stack in one pass, and `census_stacks` lists every code of a length that way.
 Weight distributions are found by full message-space enumeration, guarded
 by a cap.  So is the minimum distance of a code whose codewords fit in one
 block; a larger code gets its exact distance from information sets
@@ -78,45 +81,67 @@ class CodeParams:
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 
-def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int]]:
+def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int] | np.ndarray]:
     """Reduced row echelon form over the given field.
 
-    Returns the nonzero rows and the pivot column list.
+    A two-dimensional matrix gives its nonzero rows and the list of its
+    pivot columns.  Leading axes make a stack, and one loop reduces every
+    matrix of it: the result is the reduced stack, in the input's shape
+    with each matrix's zero rows last, and an int array of each matrix's
+    pivot columns (the stack's shape, then one slot per row), -1 past its
+    rank.
     """
     spec = field.spec
     R = np.array(matrix, dtype=np.int32, copy=True)
-    if R.ndim != 2:
-        raise ValueError("expected a two-dimensional matrix")
-    rows, n = R.shape
-    pivots: list[int] = []
-    pr = 0
-    for col in range(n):
-        piv = None
-        for r in range(pr, rows):
-            if R[r, col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            R[[pr, piv]] = R[[piv, pr]]
-        lead = int(R[pr, col])
-        if lead != 1:
-            R[pr] = spec.vmul(spec.inv(lead), R[pr])
-        # the other rows with an entry in `col` lose that multiple of the pivot row
-        others = np.flatnonzero(R[:, col])
-        others = others[others != pr]
-        if others.size:
-            R[others] = spec.vadd(R[others], spec.vmul(spec.vneg(R[others, col])[:, None], R[pr]))
-        pivots.append(col)
-        pr += 1
-        if pr == rows:
+    if R.ndim < 2:
+        raise ValueError("expected a matrix or a stack of matrices")
+    shape = R.shape
+    rows, n = shape[-2:]
+    R = R.reshape(math.prod(shape[:-2]), rows, n)
+    pivots = np.full(R.shape[:2], -1)
+    at = np.arange(len(R))
+    steps = 0  # the steps that found a pivot in some matrix
+    for t in range(min(rows, n)):
+        # rows t.. are zero left of the last pivot, so the next pivot of a
+        # matrix is the first nonzero entry of those rows in column-major
+        # order; a matrix with none is done (its lead is 0), and the steps
+        # below leave it as it is
+        first = np.not_equal(R[:, t:].transpose(0, 2, 1), 0, order="C").reshape(
+            len(R), -1).argmax(axis=1)
+        col, below = np.divmod(first, rows - t)
+        lead = R[at, t + below, col]
+        leads = lead.tolist()
+        if not any(leads):
             break
-    return R[:pr], pivots
+        steps = t + 1
+        pivots[:, t] = col if all(leads) else np.where(lead != 0, col, -1)
+        row = R[:, t]
+        if np.count_nonzero(below):  # swap the pivot row into row t
+            src = t + below
+            row = R[at, src]
+            R[at, src] = R[:, t]
+            R[:, t] = row
+        if any(c > 1 for c in leads):
+            row = spec.vmul(spec._inv[lead][:, None], row)
+            R[:, t] = row
+        if rows > 1:
+            # the other rows lose their multiple of the pivot row in `col`
+            factor = R[at, :, col]
+            factor[:, t] = 0
+            if np.count_nonzero(factor):
+                R = spec.vadd(R, spec.vmul(spec.vneg(factor)[:, :, None], row[:, None, :]))
+    if len(shape) == 2:
+        return R[0, :steps], pivots[0, :steps].tolist()
+    return R.reshape(shape), pivots.reshape(shape[:-1])
 
 
-def rank(field: Subfield, matrix) -> int:
-    return len(rref(field, matrix)[1])
+def rank(field: Subfield, matrix) -> int | np.ndarray:
+    """The rank of a matrix, or an int array of the ranks of a stack of
+    them (leading axes), from one `rref` call."""
+    pivots = rref(field, matrix)[1]
+    if isinstance(pivots, list):
+        return len(pivots)
+    return np.count_nonzero(pivots >= 0, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +352,50 @@ def word_layout(field: Subfield, length: int) -> WordLayout:
     return WordLayout(field, length)
 
 
+def least_weight(wd) -> int:
+    """The least nonzero weight of a weight distribution: the distance of
+    its code."""
+    return int(np.flatnonzero(wd[1:])[0]) + 1
+
+
+def weight_distributions(field: Subfield, gens) -> np.ndarray:
+    """Codeword counts by Hamming weight (indices 0..n) of the code spanned
+    by each generator matrix of a stack (last two axes; a single matrix
+    gives a single distribution): the zero word plus D*(H) + D*(T) +
+    D*(H, T), where D* weighs the sums in which every summand is nonzero, T
+    spans the last rows (at most one block of codewords) and H the others,
+    if any.  The rows must be independent: the weigher refuses a weight-0
+    sum, and each distribution must count Q^k words.  The stack is weighed
+    a part at a time, with at most about one block of spans of T in each."""
+    gens = np.asarray(gens, dtype=np.int32)
+    lead, (k, n) = gens.shape[:-2], gens.shape[-2:]
+    gens = gens.reshape(math.prod(lead), k, n)
+    Q = field.size
+    layout = word_layout(field, n)
+    # the last `low` rows (one at least, if any) span at most one block
+    low = min(k, 1)
+    while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
+        low += 1
+    step = max(1, _BLOCK_CODEWORDS // Q ** low)
+    parts = []
+    for a in range(0, len(gens), step):
+        part = gens[a:a + step]
+        every = np.arange(len(part))
+        tail = layout.span(part[:, k - low:])
+        if k > low:
+            head = layout.span(part[:, :k - low])
+            parts.append(layout.distributions([head], every)
+                         + layout.distributions([tail], every)
+                         + layout.distributions([head, tail], np.repeat(every, 2)))
+        else:
+            parts.append(layout.distributions([tail], every))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out[:, 0] = 1  # the zero word
+    if np.count_nonzero(out.sum(axis=1) - Q ** k):
+        raise InvariantError("weight distribution failed its sanity checks")
+    return out.reshape(lead + (n + 1,))
+
+
 # ---------------------------------------------------------------------------
 # codes
 
@@ -379,29 +448,9 @@ class LinearCode:
         return count
 
     def _distribution(self, cap: int) -> np.ndarray:
-        """Codeword counts by Hamming weight: the zero word plus D*(H) +
-        D*(T) + D*(H, T), where D* weighs the sums in which every summand is
-        nonzero, T spans the last rows (at most one block of codewords) and
-        H the others, if any."""
-        k = self.dim
-        Q = self.field.size
-        count = self._codeword_count(cap)
-        # the last `low` rows (one at least, if any) span at most one block
-        low = min(k, 1)
-        while low < k and Q ** (low + 1) <= _BLOCK_CODEWORDS:
-            low += 1
-        layout = word_layout(self.field, self.length)
-        if k > low:
-            head = layout.span(self.gens[:k - low])[None]
-            tail = layout.span(self.gens[k - low:])[None]
-            counts = (layout.distributions([head], [0])[0] + layout.distributions([tail], [0])[0]
-                      + layout.distributions([head, tail], [0, 0])[0])
-        else:
-            counts = layout.distributions([layout.span(self.gens)[None]], [0])[0]
-        counts[0] = 1  # the zero word
-        if int(counts.sum()) != count:
-            raise InvariantError("weight distribution failed its sanity checks")
-        return counts
+        """Codeword counts by Hamming weight, refused past the cap."""
+        self._codeword_count(cap)
+        return weight_distributions(self.field, self.gens)
 
     def _information_sets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Generator matrices of the code, each systematic on an information
@@ -493,7 +542,7 @@ class LinearCode:
             d = self._information_set_distance(count)
             if d is not None:
                 return d
-        return int(np.flatnonzero(self._distribution(cap)[1:])[0]) + 1
+        return least_weight(self._distribution(cap))
 
     def weight_distribution(self, cap: int = DEFAULT_CODEWORD_CAP) -> np.ndarray:
         """Codeword counts by Hamming weight, indices 0..length."""
@@ -521,9 +570,7 @@ class LinearCode:
     def hull_dimension(self) -> int:
         """Dimension of the intersection with the dual; 0 means the code is
         linear complementary dual."""
-        if self.dim == 0:
-            return 0
-        return self.dim - rank(self.field, self.gram_matrix())
+        return hull_dimensions(self.field, self.gens)
 
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0
@@ -553,6 +600,16 @@ class LinearCode:
                 f"F_{self.field.size})")
 
 
+def hull_dimensions(field: Subfield, gens) -> int | np.ndarray:
+    """Hull dimension k - rank(G G^T) of the code spanned by each generator
+    matrix G of a stack (last two axes, k independent rows), or of a single
+    one: all Gram matrices are formed by one `vdot` and ranked by one
+    `rank`.  0 means the code is linear complementary dual."""
+    gens = np.asarray(gens, dtype=np.int32)
+    gram = field.spec.vdot(gens, np.swapaxes(gens, -1, -2))
+    return gens.shape[-2] - rank(field, gram)
+
+
 def rref_canonicalize(field: Subfield, matrix) -> LinearCode:
     """Canonical code for an arbitrary generator matrix (zero rows dropped)."""
     arr = np.array(matrix, dtype=np.int32)
@@ -580,33 +637,48 @@ def subspace_count(size: int, length: int) -> int:
     return sum(gaussian_binomial(length, k, size) for k in range(length + 1))
 
 
-def enumerate_codes(field: Subfield, length: int,
-                    cap: int = DEFAULT_SUBSPACE_CAP) -> Iterator[LinearCode]:
-    """Every linear code of the given length over the field, exactly once.
+def census_stacks(field: Subfield, length: int,
+                  cap: int = DEFAULT_SUBSPACE_CAP) -> Iterator[np.ndarray]:
+    """The RREF generator matrices of every linear code of the given length
+    over the field, exactly once: one (m, k, length) int32 stack for each
+    dimension k = 0..length, ascending.
 
-    Codes are produced dimension-ascending; within a dimension, by pivot
-    pattern and then by free-entry assignment, so the stream order is a
-    frozen, reproducible contract.
+    Within a stack, codes come by pivot pattern and then by free-entry
+    assignment (the first free entry varying slowest), so the census order
+    is a frozen, reproducible contract.
     """
     total = subspace_count(field.size, length)
     if total > cap:
         raise CapExceededError(
             f"subspace enumeration of length {length} over a size-{field.size} field",
             total, cap)
-    elems = field.elements.tolist()
-    yield LinearCode(field, length)
+    Q = field.size
+    yield np.zeros((1, 0, length), dtype=np.int32)
     for k in range(1, length + 1):
+        parts = []
         for pivots in itertools.combinations(range(length), k):
             free = [(r, c) for r in range(k) for c in range(length)
                     if c > pivots[r] and c not in pivots]
-            base = np.zeros((k, length), dtype=np.int32)
-            for r, pc in enumerate(pivots):
-                base[r, pc] = 1
-            for assign in itertools.product(elems, repeat=len(free)):
-                mat = base.copy()
-                for (r, c), v in zip(free, assign):
-                    mat[r, c] = v
-                yield LinearCode(field, length, mat, _canonical=True)
+            # the digits of 0..Q^f - 1, the first free entry the highest
+            digits = (np.arange(Q ** len(free))[:, None]
+                      // Q ** np.arange(len(free) - 1, -1, -1)) % Q
+            mats = np.zeros((len(digits), k, length), dtype=np.int32)
+            mats[:, range(k), pivots] = 1
+            if free:
+                r, c = zip(*free)
+                mats[:, r, c] = field.elements[digits]
+            parts.append(mats)
+        yield np.concatenate(parts)
+
+
+def enumerate_codes(field: Subfield, length: int,
+                    cap: int = DEFAULT_SUBSPACE_CAP) -> Iterator[LinearCode]:
+    """Every linear code of the given length over the field, exactly once,
+    in the order of `census_stacks`: dimension-ascending, then by pivot
+    pattern and free-entry assignment."""
+    for stack in census_stacks(field, length, cap):
+        for gens in stack:
+            yield LinearCode(field, length, gens, _canonical=True)
 
 
 def frobenius_twist(code: LinearCode, times: int = 1) -> LinearCode:
@@ -642,29 +714,35 @@ def _embedding_table(src: Subfield, dst: Subfield) -> np.ndarray:
     return table
 
 
-def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
-    """Re-express a code inside another field presentation.
+def embed_rows(rows, source: Subfield, target: Subfield) -> np.ndarray:
+    """Element codes of `rows` (any shape) over `source`, re-expressed in
+    `target`'s presentation.
 
     The source field F_{q^degree} must embed into the target tower; the
     embedding sends the source presentation's x to the smallest root of the
     source modulus in the target field (deterministic).  Its table of images
-    is found once per pair of presentations (`_embedding_table`); each
-    embedded code is still brought to RREF.  A code already in the target's
-    presentation is only relabelled.
+    is found once per pair of presentations (`_embedding_table`).  Rows
+    already in the target's presentation are returned as they are.  An
+    embedding fixes 0 and 1, so it maps RREF matrices to RREF matrices.
     """
-    src = code.field.spec
+    src = source.spec
     dst = target.spec
     if src.same_presentation(dst):
-        if code.field.degree != target.degree:
+        if source.degree != target.degree:
             raise ValueError("field degree mismatch between code and target")
-        return LinearCode(target, code.length, code.gens, _canonical=True)
+        return np.asarray(rows, dtype=np.int32)
     if src.p != dst.p or src.base_degree != dst.base_degree:
         raise ValueError("codes can only be embedded over the same base field")
     if dst.n % src.n != 0:
         raise ValueError(
             f"no embedding of a degree-{src.n} field into a degree-{dst.n} field")
-    table = _embedding_table(src.subfield(1), dst.subfield(1))
-    return LinearCode(target, code.length, table[code.gens])
+    return _embedding_table(src.subfield(1), dst.subfield(1))[rows]
+
+
+def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
+    """Re-express a code inside another field presentation (`embed_rows`)."""
+    return LinearCode(target, code.length, embed_rows(code.gens, code.field, target),
+                      _canonical=True)
 
 
 # ---------------------------------------------------------------------------

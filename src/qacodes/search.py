@@ -6,27 +6,30 @@ sums of one codeword from each piece.  The search weighs codes that way.
 
 Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
-minimum distance reaches the target; the outer codes of one class and one
-dimension are flattened, spanned (`WordLayout.span`, one row of packed words
-per nonzero codeword) and weighed together, and the span of each survivor is
-stored once.  Stage s + 1 extends the surviving id tuples of
-stage s by one id of a later class, level-synchronously: level s holds its
-tuples as the rows of an array, each with the rows of its s faces (the tuple
-less one id) in level s - 1 and a key (last face, last id), ascending.  The
-search is complete because every sub-assignment of a survivor is itself a
-survivor (a direct summand has at least the distance of the sum); the same
-fact prunes a candidate one of whose sub-assignments did not survive.  So a
-tuple is extended only by the last ids of its siblings (the rows that share
-its last face, one run of the sorted keys), and the other faces of each
-extension are looked up in the keys with one `np.searchsorted`; the
-positions found are the faces of the new survivors.  The frontier is taken
-in chunks of at most one block of weight counters: the candidate pairs of a
-chunk come from one `np.repeat`, are selected with array masks (dimension
-target, subset closure, Singleton bound) and checked against the codeword
-cap, and the candidates of one summand-dimension signature are weighed by
-one `WordLayout.distributions` call on the stored spans of their ids.
-A stage still counts as candidates all ids of later classes within the
-dimension target; those that are not siblings count among the pruned.
+minimum distance reaches the target.  The census of outer codes is built
+once per class size, one stack of generator matrices per dimension
+(`census_stacks`); the stack of one class and one dimension is flattened,
+spanned (`WordLayout.span`, one row of packed words per nonzero codeword)
+and weighed together, only its survivors become `LinearCode`s, and the span
+of each survivor is stored once.  Stage s + 1 extends the surviving id
+tuples of stage s by one id of a later class, level-synchronously: level s
+holds its tuples as the rows of an array, each with the rows of its s faces
+(the tuple less one id) in level s - 1 and a key (last face, last id),
+ascending.  The search is complete because every sub-assignment of a
+survivor is itself a survivor (a direct summand has at least the distance of
+the sum); the same fact prunes a candidate one of whose sub-assignments did
+not survive.  So a tuple is extended only by the last ids of its siblings
+(the rows that share its last face, one run of the sorted keys), and the
+other faces of each extension are looked up in the keys with one
+`np.searchsorted`; the positions found are the faces of the new
+survivors.  The frontier is taken in chunks of at most one block of weight
+counters: the candidate pairs of a chunk come from one `np.repeat`, are
+selected with array masks (dimension target, subset closure, Singleton
+bound) and checked against the codeword cap, and the candidates of one
+summand-dimension signature are weighed by one `WordLayout.distributions`
+call on the stored spans of their ids.  A stage still counts as candidates
+all ids of later classes within the dimension target; those that are not
+siblings count among the pruned.
 
 A span lists the nonzero words of its piece, so the weigher counts only a
 candidate's all-nonzero words, the sums in which every summand is nonzero:
@@ -71,7 +74,8 @@ from .algebra import AbelianGroup
 from .errors import CapExceededError, InvariantError
 from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
-                           LinearCode, WordLayout, enumerate_codes, word_layout)
+                           LinearCode, WordLayout, census_stacks, least_weight,
+                           word_layout)
 
 
 @dataclass(frozen=True)
@@ -142,36 +146,48 @@ def _reaches(classes: list[int], dims: np.ndarray, target: int) -> bool:
     return target in sums
 
 
-def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, counts: dict):
+def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, census: list,
+            counts: dict):
     """Yield (outer, span, weight distribution) for every nonzero outer code
     of class i, up to the dimension target, whose concatenation meets the
     distance target, counting the candidates, the Singleton rejections, the
-    weighed codes and their words in `counts`.  The outer codes of one
-    dimension are flattened, spanned and weighed together; a span lists
-    the nonzero codewords, so a distribution counts no zero word."""
+    weighed codes and their words in `counts`.  `census` holds the RREF
+    generator matrices of the outer codes over the class field, one stack
+    per dimension (`census_stacks`); a stack is flattened, spanned and
+    weighed at once, and only its survivors become `LinearCode`s.  A span
+    lists the nonzero codewords, so a distribution counts no zero word."""
     n = layout.length
     k_i = dec.classes[i].size
-    outers = enumerate_codes(dec.spec.subfield(k_i), spec.index, spec.caps.subspaces)
-    for r, group in itertools.groupby(outers, key=lambda c: c.dim):  # dimension-ascending
+    field = dec.spec.subfield(k_i)
+    for stack in census:  # dimension-ascending
+        r = stack.shape[1]
         dim = k_i * r
         if spec.dim_target is not None and dim > spec.dim_target:
             break
         if r == 0:
             continue
-        group = list(group)
-        counts["candidates"] += len(group)
+        counts["candidates"] += len(stack)
         # no [n, k, >= d_min] code exists beyond the Singleton bound
         if dim > n - spec.d_min + 1:
-            counts["singleton"] += len(group)
+            counts["singleton"] += len(stack)
             continue
         _check_cap(spec, 1, n, dim)
-        spans = layout.span(dec.flatten(i, np.stack([c.gens for c in group])))
-        counts["weighed"] += len(group)
+        spans = layout.span(dec.flatten(i, stack))
+        counts["weighed"] += len(stack)
         counts["words"] += spans.shape[0] * (spans.shape[1] // (spec.q - 1))
-        wds = layout.distributions([spans], np.arange(len(group)))
-        for outer, span, wd in zip(group, spans, wds):
-            if not wd[1:spec.d_min].any():
-                yield outer, span, wd
+        wds = layout.distributions([spans], np.arange(len(stack)))
+        for j in np.flatnonzero(~wds[:, 1:spec.d_min].any(axis=1)).tolist():
+            yield LinearCode(field, spec.index, stack[j], _canonical=True), spans[j], wds[j]
+
+
+def _census(dec, spec: SearchSpec, i: int, censuses: dict) -> list:
+    """The census stacks of class i's outer codes, built at the first class
+    of its size and kept in `censuses` (one search's) for the others."""
+    k_i = dec.classes[i].size
+    if k_i not in censuses:
+        censuses[k_i] = list(census_stacks(dec.spec.subfield(k_i), spec.index,
+                                           spec.caps.subspaces))
+    return censuses[k_i]
 
 
 def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
@@ -182,10 +198,6 @@ def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) ->
     seconds = time.perf_counter() - start_time
     return {"stage": stage, **counts, "survivors": survivors, "seconds": seconds,
             "weighed_per_s": counts["weighed"] / seconds if seconds > 0 else 0.0}
-
-
-def _distance(wd) -> int:
-    return int(np.flatnonzero(wd[1:])[0]) + 1
 
 
 def _narrow(counts: np.ndarray) -> np.ndarray:
@@ -214,8 +226,9 @@ def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, 
     dec = decompose_algebra(spec.group, spec.q)
     layout = word_layout(dec.spec.subfield(1), dec.group.size * spec.index)
     counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
-    return [(outer, _distance(wd))
-            for outer, _, wd in _stage1(dec, spec, layout, class_index, counts)]
+    census = _census(dec, spec, class_index, {})
+    return [(outer, least_weight(wd))
+            for outer, _, wd in _stage1(dec, spec, layout, class_index, census, counts)]
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -232,8 +245,10 @@ def search(spec: SearchSpec) -> SearchResult:
     start_time = time.perf_counter()
     counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
     classes, outers, spans, wds = [], [], [], []
+    censuses: dict = {}  # class size -> census stacks, for this search alone
     for i in range(dec.class_count):
-        for outer, span, wd in _stage1(dec, spec, layout, i, counts):
+        census = _census(dec, spec, i, censuses)
+        for outer, span, wd in _stage1(dec, spec, layout, i, census, counts):
             classes.append(i)
             outers.append(outer)
             spans.append(span)
@@ -439,7 +454,7 @@ def search(spec: SearchSpec) -> SearchResult:
     for _, ids, wd in best.values():
         dim = int(dims[list(ids)].sum())
         unique.append(SearchEntry(tuple((classes[j], outers[j]) for j in ids),
-                                  CodeParams(n, dim, distance=_distance(wd)),
+                                  CodeParams(n, dim, distance=least_weight(wd)),
                                   (n, dim, tuple(int(x) for x in wd))))
     unique.sort(key=lambda e: (e.params.dim, e.fingerprint))
     stats["accepted"] = sum(s["survivors"] for s in stats["stages"])

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,9 +11,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qacodes import __version__, cli, diagnostics, reference
+from qacodes import __version__, cli, diagnostics, families, linear_codes, reference
 from qacodes.algebra import AbelianGroup, FieldSpec
 from qacodes.cli import main
 from qacodes.concatenation import qa_to_descriptor
@@ -239,23 +241,49 @@ def test_family_lcd_refuses_a_non_lcd_outer_file(capsys, tmp_path):
 
 
 def test_family_lcd_computes_fewer_hulls(capsys, monkeypatch):
-    """Each built-in LCD outer code's hull is computed once, by the library
-    filter, and each member's once: `family --q 2 --p 3 --lcd` computes 86
-    hulls for its census and 50 for its members.  It computed 236 when the
-    --lcd filter and FamilySpec each computed them again, and 186 with
-    FamilySpec alone."""
-    calls = []
-    hull_dimension = LinearCode.hull_dimension
+    """Each Gram matrix of `family --q 2 --p 3 --lcd` is ranked once, in
+    stacks: 86 for its census (every nonzero binary code of length <= 4),
+    in at most one stacked `rank` call per (length, dimension) group of it,
+    and 50 for its members, in at most one per group of them.  Counted at
+    `rank`, which every hull goes through; 136 hulls in all, as when each
+    was computed once per code (236 when the --lcd filter and FamilySpec
+    each computed them again)."""
+    calls = []  # (phase, Gram matrices ranked)
+    phase = ["census"]
+    rank = linear_codes.rank
+    report = cli.family_report
 
-    def counted(self):
-        calls.append(self)
-        return hull_dimension(self)
+    def counted(field, matrix):
+        calls.append((phase[0], math.prod(np.shape(matrix)[:-2])))
+        return rank(field, matrix)
 
-    monkeypatch.setattr(LinearCode, "hull_dimension", counted)
+    def members(*args):
+        phase[0] = "members"
+        return report(*args)
+
+    monkeypatch.setattr(linear_codes, "rank", counted)
+    monkeypatch.setattr(cli, "family_report", members)
     code, out, _ = run(capsys, "--no-banner", "family", "--q", "2", "--p", "3", "--lcd")
     assert code == 0
-    assert len(out.strip().splitlines()) == 51
-    assert len(calls) <= 136
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 50
+    census = [m for ph, m in calls if ph == "census"]
+    member = [m for ph, m in calls if ph == "members"]
+    assert sum(census) == 86 and len(census) <= sum(range(1, 5))
+    assert sum(member) == 50 and len(member) <= len({(r[1], r[3]) for r in rows})
+
+
+def test_family_cap_refusal(capsys, monkeypatch):
+    """Past the codeword cap, `family` exits 3 with the size of the first
+    outer code it cannot enumerate, before it weighs any group."""
+    weighed = []
+    monkeypatch.setattr(families, "weight_distributions",
+                        lambda *args: weighed.append(args))
+    code, out, err = run(capsys, "--cap-codewords", "8", "family", "--q", "2", "--p", "3")
+    assert (code, out) == (3, "")
+    assert err == ("error: codeword enumeration for [4,4] over a size-2 field: "
+                   "would need 16 > cap 8\n")
+    assert weighed == []
 
 
 @pytest.mark.parametrize("doc", [5, None, {"q": 2}], ids=["int", "null", "object"])

@@ -16,10 +16,11 @@ import qacodes
 from qacodes import linear_codes
 from qacodes.algebra import FieldSpec, build_tower, AbelianGroup
 from qacodes.errors import CapExceededError, InvariantError
-from qacodes.linear_codes import (CodeParams, LinearCode, WordLayout, code_from_descriptor,
-                                  code_to_descriptor, embed_code, enumerate_codes,
-                                  frobenius_twist, gaussian_binomial, rref,
-                                  rref_canonicalize, subspace_count)
+from qacodes.linear_codes import (CodeParams, LinearCode, WordLayout, census_stacks,
+                                  code_from_descriptor, code_to_descriptor, embed_code,
+                                  enumerate_codes, frobenius_twist, gaussian_binomial,
+                                  hull_dimensions, rank, rref, rref_canonicalize,
+                                  subspace_count)
 
 F2 = FieldSpec(2, 1).subfield(1)
 F3 = FieldSpec(3, 1).subfield(1)
@@ -59,6 +60,58 @@ def test_rref_canonical():
     # zero matrix gives the zero code
     z = rref_canonicalize(F2, np.zeros((2, 4), dtype=int))
     assert z.dim == 0
+
+
+def _assert_rref_of(field, rows, pivots, matrix):
+    """`rows` with `pivots` is the reduced row echelon form of `matrix`:
+    each pivot entry is 1, the only nonzero entry of its column and the
+    first of its row, and the pivots ascend (so the rows are independent);
+    the rows span every row of `matrix`, and the row space of `matrix`,
+    closed here by brute force, has Q^len(rows) vectors."""
+    assert pivots == sorted(set(pivots)) and len(pivots) == len(rows)
+    for i, c in enumerate(pivots):
+        assert rows[i, c] == 1 and not rows[i, :c].any()
+        assert np.count_nonzero(rows[:, c]) == 1
+    assert LinearCode(field, matrix.shape[1], rows, _canonical=True).contains(matrix)
+    spec = field.spec
+    space = np.zeros((1, matrix.shape[1]), dtype=np.int32)
+    for row in matrix:
+        multiples = spec.vmul(field.elements[:, None], row)
+        space = np.unique(spec.vadd(space[:, None], multiples[None]).reshape(-1, len(row)),
+                          axis=0)
+    assert len(space) == field.size ** len(rows)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4, 6), (9, 7, 3), (5, 1, 5)],
+                         ids=["two-stack-axes", "tall", "one-row"])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rref_of_a_stack_matches_each_matrix(q, shape):
+    """One `rref` call on a stack reduces every matrix as the 2-D call does:
+    the same rows, then zero rows, and the same pivots, then -1; `rank`
+    gives every rank at once.  The stack mixes a zero matrix, rank-deficient
+    matrices and full-rank ones whose pivots fall in different columns."""
+    field = FieldSpec(q, 1).subfield(1)
+    spec = field.spec
+    rng = np.random.default_rng(q * 100 + len(shape))
+    flat = field.elements[rng.integers(0, q, (math.prod(shape[:-2]),) + shape[-2:])]
+    flat[0] = 0
+    flat[1, :, :2] = 0  # the pivots start late
+    flat[2, -1] = flat[2, 0]  # a repeated row
+    flat[3, -1] = spec.vadd(flat[3, 0], spec.vmul(flat[3, -1, :1], flat[3, 0]))
+    flat[4, :, 1] = spec.vmul(2 % q or 1, flat[4, :, 0])  # column 1 a multiple of column 0
+    stack = flat.reshape(shape)
+    R, pivots = rref(field, stack)
+    assert R.shape == stack.shape and pivots.shape == shape[:-1]
+    ranks = rank(field, stack)
+    assert ranks.shape == shape[:-2]
+    for idx in np.ndindex(*shape[:-2]):
+        rows, piv = rref(field, stack[idx])
+        _assert_rref_of(field, rows, piv, stack[idx])
+        r = len(piv)
+        assert np.array_equal(R[idx][:r], rows) and not R[idx][r:].any()
+        assert pivots[idx][:r].tolist() == piv and (pivots[idx][r:] == -1).all()
+        assert ranks[idx] == r == rank(field, stack[idx])
+    assert len({tuple(p) for p in pivots.reshape(-1, shape[-2]).tolist()}) > 2
 
 
 def test_entries_validated_against_declared_field():
@@ -525,6 +578,42 @@ def test_enumerate_codes_census():
     with pytest.raises(CapExceededError):
         list(enumerate_codes(F2, 10, cap=100))
     assert subspace_count(2, 3) == 16
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+def test_census_stacks_follow_the_frozen_order(q, n):
+    """The census is one (m, k, n) int32 stack per dimension, in the order
+    built here from itertools: dimension, pivot pattern, then free entries
+    with the first varying slowest.  `enumerate_codes` yields those codes."""
+    field = FieldSpec(q, 1).subfield(1)
+    elems = field.elements.tolist()
+    want = []
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(r, c) for r in range(k) for c in range(n)
+                    if c > pivots[r] and c not in pivots]
+            for assign in itertools.product(elems, repeat=len(free)):
+                mat = np.zeros((k, n), dtype=np.int32)
+                mat[range(k), pivots] = 1
+                for (r, c), v in zip(free, assign):
+                    mat[r, c] = v
+                want.append(mat.tobytes())
+    stacks = list(census_stacks(field, n))
+    assert [s.shape[1:] for s in stacks] == [(k, n) for k in range(n + 1)]
+    assert [len(s) for s in stacks] == [gaussian_binomial(n, k, q) for k in range(n + 1)]
+    assert all(s.dtype == np.int32 for s in stacks)
+    assert [g.tobytes() for s in stacks for g in s] == want
+    assert [c.gens.tobytes() for c in enumerate_codes(field, n)] == want
+    with pytest.raises(CapExceededError):
+        next(census_stacks(field, n, cap=3))
+
+
+def test_hull_dimensions_of_a_stack_match_each_code():
+    """`hull_dimensions` on a stack gives each code's `hull_dimension`."""
+    for field, n in ((F2, 4), (F3, 3)):
+        for stack in census_stacks(field, n):
+            hulls = hull_dimensions(field, stack)
+            assert hulls.tolist() == [LinearCode(field, n, g).hull_dimension() for g in stack]
 
 
 def test_enumeration_is_deterministic():
