@@ -15,7 +15,9 @@ and `vmul` (pair tables up to a size limit, digit-wise addition and
 log/exp multiplication above it), `vpow`, and one field sum, `vsum`, a
 digit-wise sum mod p on either presentation.  Every dot product over the
 field -- matrix products, projections, lifts, traces, polynomial
-evaluation -- is `vdot` or `vtrace`, built on `vsum`.
+evaluation -- is `vdot` or `vtrace`, built on `vsum`.  `FieldElement` is
+the one scalar interface: each of its operations is one of these array ops
+on its code.
 
 Group elements are coordinate tuples ordered mixed-radix lexicographically
 with the rightmost coordinate varying fastest; that single ordering fixes
@@ -282,70 +284,6 @@ class FieldSpec:
         """Codes of base-p digit vectors (last axis), each digit in [0, p)."""
         return (d @ self._powvec).astype(np.int32)
 
-    # -- scalar arithmetic on codes ----------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return int(self._add[a, b])
-        d = (self._digits[a].astype(np.int64) + self._digits[b]) % self.p
-        return int(d @ self._powvec)
-
-    def neg(self, a: int) -> int:
-        return int(self._neg[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._mul is not None:
-            return int(self._mul[a, b])
-        N = self.size - 1
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % N])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        N = self.size - 1
-        return int(self._exp[(N - int(self._log[a])) % N])
-
-    def pow_(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("zero has no multiplicative inverse")
-            return 1 if e == 0 else 0
-        N = self.size - 1
-        if N == 0:
-            return 1
-        return int(self._exp[(int(self._log[a]) * (e % N)) % N])
-
-    def frob(self, a: int, times: int = 1) -> int:
-        """times-fold base-field Frobenius x -> x^(q^times)."""
-        return self.pow_(a, self.q ** times)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        N = self.size - 1
-        if N == 0:
-            return 1
-        return N // math.gcd(int(self._log[a]), N)
-
-    def exact_degree(self, a: int) -> int:
-        """Degree over F_q of the smallest subfield holding a: the least
-        k >= 1 with a^(q^k) == a."""
-        x = self.frob(a)
-        k = 1
-        while x != a:
-            x = self.frob(x)
-            k += 1
-        return k
-
-    def in_subfield(self, a: int, k: int) -> bool:
-        """Frobenius fixed-point test: a^(q^k) == a."""
-        return self.pow_(a, self.q ** k) == a
-
     def subfield_codes(self, k: int) -> np.ndarray:
         """Sorted codes of the degree-k extension of F_q inside K."""
         if self.tower_degree % k != 0:
@@ -430,6 +368,17 @@ class FieldSpec:
             return np.ones_like(A, dtype=bool)
         shift = (self.q ** k - 1) % N
         return (A == 0) | ((self._log[A] * shift) % N == 0)
+
+    def vdegree(self, A):
+        """Degree over F_q of the smallest subfield holding each code of A:
+        the least k dividing the tower degree with `vin_subfield(A, k)`
+        (zero has degree 1)."""
+        t = self.tower_degree
+        out = np.full(np.shape(A), t, dtype=np.int64)
+        for k in range(t - 1, 0, -1):
+            if t % k == 0:
+                out[self.vin_subfield(A, k)] = k
+        return out
 
     def basis_coordinates(self, basis) -> np.ndarray | None:
         """Coordinates over F_q in `basis` of every element of its F_q-span:
@@ -521,37 +470,41 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.code, other.code))
+        return FieldElement(self.spec, int(self.spec.vadd(self.code, other.code)))
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.code, other.code))
+        return self + -other
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.code))
+        return FieldElement(self.spec, int(self.spec.vneg(self.code)))
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.code, other.code))
+        return FieldElement(self.spec, int(self.spec.vmul(self.code, other.code)))
 
     def __truediv__(self, other):
         self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.code, self.spec.inv(other.code)))
+        return self * other.inverse()
 
     def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_(self.code, e))
+        return FieldElement(self.spec, int(self.spec.vpow(self.code, e)))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.code))
+        return self ** -1
 
     def frobenius(self, times: int = 1) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.frob(self.code, times))
+        # the Frobenius of F_q has order [K:F_q] on K
+        return self ** self.spec.q ** (times % self.spec.tower_degree)
 
     def multiplicative_order(self) -> int:
-        return self.spec.element_order(self.code)
+        if not self.code:
+            raise ValueError("zero has no multiplicative order")
+        N = self.spec.size - 1
+        return N // math.gcd(int(self.spec._log[self.code]), N)
 
     def in_subfield(self, k: int) -> bool:
-        return self.spec.in_subfield(self.code, k)
+        return bool(self.spec.vin_subfield(self.code, k))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -794,10 +747,10 @@ def character(a: GroupElement, h: GroupElement, spec: FieldSpec) -> FieldElement
 def subfield_trace(x: FieldElement, k: int) -> FieldElement:
     """Trace from the degree-k extension of F_q down to F_q."""
     spec = x.spec
-    if not spec.in_subfield(x.code, k):
+    if not x.in_subfield(k):
         raise ValueError(f"element {x} is not in the degree-{k} extension of F_{spec.q}")
     out = int(spec.vtrace(x.code, k))
-    if not spec.in_subfield(out, 1):
+    if not spec.vin_subfield(out, 1):
         raise InvariantError("trace value fell outside the base field")
     return FieldElement(spec, out)
 

@@ -206,8 +206,7 @@ def _cmd_family(args) -> tuple[dict, list[str]]:
     rows = family_report(spec, args.cap_codewords)
     header = ["i", "n_i", "length", "dim", "distance_exact_or_bound", "rate",
               "rel_distance", "lcd"]
-    table = [[r.index, r.outer_length, r.length, r.dim,
-              r.distance if r.distance is not None else f">={r.distance_bound}",
+    table = [[r.index, r.outer_length, r.length, r.dim, r.distance,
               str(r.rate), str(r.relative_distance), int(r.lcd)] for r in rows]
     lines = [",".join(map(str, row)) for row in [header, *table]]
     if args.out:

@@ -262,7 +262,8 @@ def simple_scheme(inner: LinearCode, outer: LinearCode) -> GCCScheme:
     outer field's canonical generator maps to the j-th generator row."""
     spec = inner.field.spec
     k = inner.dim
-    gen_code = next(c for c in spec.subfield_codes(k).tolist() if spec.exact_degree(c) == k)
+    codes = spec.subfield_codes(k)
+    gen_code = int(codes[spec.vdegree(codes) == k][0])
     basis = spec.vpow(gen_code, np.arange(k))
     return GCCScheme([inner], [inner.gens.copy()], [basis], [outer])
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .algebra import AbelianGroup, FieldSpec, _prime_factors, prime_power
 from .concatenation import QACode, concatenation_bound, distance_bound, qa_from_constituents
-from .errors import CapExceededError
 from .idempotents import decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParams,
                            LinearCode, census_stacks, embed_rows, hull_dimensions,
@@ -80,21 +79,18 @@ class FamilySpec:
 def family_member(spec: FamilySpec, i: int,
                   cap: int = DEFAULT_CODEWORD_CAP) -> tuple[QACode, CodeParams]:
     """The i-th member: the outer code concatenated with the ideal at the
-    class of zero.  Parameters are (p^2 n, k) exactly, with the exact
-    distance when enumerable and the product bound otherwise."""
+    class of zero, with its exact parameters (p^2 n, k, d) and the product
+    bound.  The member has the outer code's dimension over the same field,
+    so a cap below q^k is refused (`CapExceededError`) by the bound, whose
+    first step weighs the outer code."""
     outer = spec.outer_codes[i]
     qa = qa_from_constituents(spec.group, spec.q, outer.length, {0: outer})
     bound = distance_bound(qa, cap)
     flat = qa.flattened
     if flat.dim != outer.dim:
         raise ValueError("member dimension does not match the outer dimension")
-    try:
-        params = CodeParams(flat.length, flat.dim,
-                            distance=flat.min_distance(cap),
-                            distance_lower_bound=bound)
-    except CapExceededError:
-        params = CodeParams(flat.length, flat.dim, distance_lower_bound=bound)
-    return qa, params
+    return qa, CodeParams(flat.length, flat.dim, distance=flat.min_distance(cap),
+                          distance_lower_bound=bound)
 
 
 def verify_lcd_member(member: QACode) -> bool:
@@ -109,7 +105,7 @@ class FamilyRow:
     outer_length: int
     length: int
     dim: int
-    distance: int | None
+    distance: int
     distance_bound: int
     rate: Fraction
     relative_distance: Fraction

@@ -71,7 +71,7 @@ def character_idempotent(x: GroupElement, spec: FieldSpec) -> GroupAlgebraElemen
     _check_root_order(group, spec)
     # the row of x in the character table, read at -a
     chi = spec.vpow(spec.xi_code, group.character_exponents[x.index, group.neg_table])
-    return GroupAlgebraElement(group, spec, spec.vmul(spec.inv(group.size % spec.p), chi))
+    return GroupAlgebraElement(group, spec, spec.vmul(spec._inv[group.size % spec.p], chi))
 
 
 def class_idempotent(cls: CyclotomicClass, spec: FieldSpec) -> GroupAlgebraElement:
@@ -112,7 +112,7 @@ class SemisimpleDecomposition:
         self._chi_row = self.characters[[cls.rep.index for cls in self.classes]]
         self._chi_neg_row = self._chi_row[:, group.neg_table]
 
-        self._inv_m = spec.inv(group.size % spec.p)
+        self._inv_m = int(spec._inv[group.size % spec.p])
 
         # per-class power basis of the target field and the lift matrix
         self._subfield_gen: list[int] = []
@@ -121,15 +121,11 @@ class SemisimpleDecomposition:
         self._psi_matrix: list[np.ndarray] = []
         for i, cls in enumerate(self.classes):
             k = cls.size
-            gen_code = None
-            for h in group.elements:
-                c = int(self._chi_row[i][h.index])
-                if spec.exact_degree(c) == k:
-                    gen_code = c
-                    break
-            if gen_code is None:
+            full = np.flatnonzero(spec.vdegree(self._chi_row[i]) == k)
+            if not len(full):
                 raise InvariantError(
                     f"no character value of full degree {k} for class of {cls.rep.coords}")
+            gen_code = int(self._chi_row[i][full[0]])
             basis = spec.vpow(gen_code, np.arange(k))
             coords = spec.basis_coordinates(basis)
             if coords is None:

@@ -563,10 +563,6 @@ class LinearCode:
             raise InvariantError("dual construction is not orthogonal")
         return out
 
-    def gram_matrix(self) -> np.ndarray:
-        """G * G^T over the field."""
-        return self.field.spec.vdot(self.gens, self.gens.T)
-
     def hull_dimension(self) -> int:
         """Dimension of the intersection with the dual; 0 means the code is
         linear complementary dual."""

@@ -60,7 +60,7 @@ def qa_36_6_16() -> QACode:
     dec = decompose_algebra(group, 2)
     spec = dec.spec
     a = spec.xi.code
-    a2 = spec.mul(a, a)
+    a2 = (spec.xi ** 2).code
     f4 = spec.subfield(2)
     c1 = LinearCode(f4, 4, [[1, 0, a2, a], [0, 1, 1, a]])
     c2 = LinearCode(f4, 4, [[1, a, a, a]])

@@ -70,6 +70,10 @@ def test_field_scalar_arithmetic_f16():
     assert spec.xi.multiplicative_order() == 5
     with pytest.raises(ZeroDivisionError):
         spec.zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        a / spec.zero
+    # Frobenius exponents past int64: q^64 = q^(64 mod 4) on F_16
+    assert a.frobenius(64) == a and a.frobenius(65) == a ** 2
 
 
 @pytest.mark.parametrize("q,t", [(2, 4), (3, 2), (4, 1), (2, 1), (5, 2)])
@@ -90,21 +94,19 @@ def test_field_axioms_random(q, t):
 
 def test_frobenius_fixes_base_field_exactly():
     spec = FieldSpec(2, 4)
-    fixed = [c for c in range(spec.size) if spec.frob(c) == c]
+    fixed = [c for c in range(spec.size) if _pow(spec, c, spec.q) == c]
     assert fixed == [0, 1]
     spec9 = FieldSpec(3, 2)
-    fixed = [c for c in range(spec9.size) if spec9.frob(c) == c]
+    fixed = [c for c in range(spec9.size) if _pow(spec9, c, spec9.q) == c]
     assert fixed == [0, 1, 2]
 
 
 def test_pair_table_and_fallback_paths_agree():
     fast = FieldSpec(2, 4, pair_tables=True)
     slow = FieldSpec(2, 4, pair_tables=False)
-    for a in range(16):
-        for b in range(16):
-            assert fast.add(a, b) == slow.add(a, b)
-            assert fast.mul(a, b) == slow.mul(a, b)
     A = np.arange(16, dtype=np.int32)
+    assert np.array_equal(fast.vadd(A[:, None], A), slow.vadd(A[:, None], A))
+    assert np.array_equal(fast.vmul(A[:, None], A), slow.vmul(A[:, None], A))
     assert np.array_equal(fast.vadd(A, A[::-1]), slow.vadd(A, A[::-1]))
     assert np.array_equal(fast.vmul(A, A[::-1]), slow.vmul(A, A[::-1]))
     assert np.array_equal(fast.vmul(7, A), slow.vmul(7, A))
@@ -113,19 +115,39 @@ def test_pair_table_and_fallback_paths_agree():
     assert np.array_equal(fast.vsum(M, 0), slow.vsum(M, 0))
 
 
-# scalar references for the array primitives: loops over add, mul and pow_
+# scalar references for the array primitives: Python loops over vadd and
+# vmul on one code at a time
+def _add(spec, a, b):
+    return int(spec.vadd(a, b))
+
+
+def _mul(spec, a, b):
+    return int(spec.vmul(a, b))
+
+
+def _pow(spec, a, e):
+    """a**e (e >= 0) by square-and-multiply, with 0**0 = 1."""
+    out = 1
+    while e:
+        if e & 1:
+            out = _mul(spec, out, a)
+        a = _mul(spec, a, a)
+        e >>= 1
+    return out
+
+
 def _ref_sum(spec, values):
-    return functools.reduce(spec.add, (int(v) for v in values), 0)
+    return functools.reduce(functools.partial(_add, spec), (int(v) for v in values), 0)
 
 
 def _ref_pow(spec, A, e):
     A, e = np.broadcast_arrays(A, e)
-    return np.array([spec.pow_(int(a), int(x)) for a, x in zip(A.ravel(), e.ravel())],
+    return np.array([_pow(spec, int(a), int(x)) for a, x in zip(A.ravel(), e.ravel())],
                     dtype=np.int32).reshape(A.shape)
 
 
 def _ref_trace(spec, A, k):
-    return np.array([_ref_sum(spec, [spec.pow_(int(a), spec.q ** j) for j in range(k)])
+    return np.array([_ref_sum(spec, [_pow(spec, int(a), spec.q ** j) for j in range(k)])
                      for a in A.ravel()], dtype=np.int32).reshape(A.shape)
 
 
@@ -139,7 +161,7 @@ def _ref_dot(spec, A, B):
     out = np.zeros(batch + (a.shape[-2], b.shape[-1]), dtype=np.int32)
     for idx in np.ndindex(out.shape):
         row, col = a[idx[:-1]], b[idx[:-2] + (slice(None), idx[-1])]
-        out[idx] = _ref_sum(spec, [spec.mul(int(x), int(y)) for x, y in zip(row, col)])
+        out[idx] = _ref_sum(spec, [_mul(spec, int(x), int(y)) for x, y in zip(row, col)])
     if B.ndim == 1:
         out = out[..., 0]
     if A.ndim == 1:
@@ -179,7 +201,7 @@ def test_array_primitives_match_scalar_loops(case):
             want = np.apply_along_axis(lambda v: _ref_sum(spec, v), axis, A)
             assert np.array_equal(spec.vsum(A, axis), want)
     nonzero = operands[3][operands[3] != 0]
-    assert np.array_equal(spec.vpow(nonzero, -1), [spec.inv(int(a)) for a in nonzero])
+    assert np.array_equal(spec.vpow(nonzero, -1), _ref_pow(spec, nonzero, spec.size - 2))
     with pytest.raises(ZeroDivisionError):
         spec.vpow(operands[1], -1)
     assert spec.vsum(np.zeros((3, 0), dtype=np.int32)).tolist() == [0, 0, 0]
@@ -251,8 +273,8 @@ def test_xi_is_the_first_power_of_the_generator_of_its_order(q, t):
     for root_order in [r for r in range(1, N + 1) if N % r == 0]:
         spec = FieldSpec(q, t, root_order=root_order)
         e = next(e for e in range(N) if N // math.gcd(e, N) == root_order)
-        assert spec.xi_code == spec.pow_(spec.generator, e)
-        assert spec.element_order(spec.xi_code) == root_order
+        assert spec.xi_code == _pow(spec, spec.generator, e)
+        assert spec.xi.multiplicative_order() == root_order
 
 
 @pytest.mark.parametrize("q,t", [(257, 1), (257, 2)])
@@ -385,8 +407,8 @@ def _naive_convolution(x, y):
     for u in g.elements:
         for v in g.elements:
             w = u + v
-            c = spec.mul(int(x.coeffs[u.index]), int(y.coeffs[v.index]))
-            out[w.index] = spec.add(out.get(w.index, 0), c)
+            c = _mul(spec, int(x.coeffs[u.index]), int(y.coeffs[v.index]))
+            out[w.index] = _add(spec, out.get(w.index, 0), c)
     coeffs = np.zeros(g.size, dtype=np.int32)
     for i, c in out.items():
         coeffs[i] = c
@@ -417,7 +439,7 @@ def _python_product(spec, group, a, b):
     for h in group.elements:
         total = 0
         for g in group.elements:
-            total = spec.add(total, spec.mul(int(a[g.index]), int(b[(h - g).index])))
+            total = _add(spec, total, _mul(spec, int(a[g.index]), int(b[(h - g).index])))
         out.append(total)
     return out
 
@@ -459,7 +481,7 @@ def test_character_table_against_python_exponents(q, orders):
     for a in group.elements:
         for h in group.elements:
             e = sum(ai * hi * (M // m) for ai, hi, m in zip(a.coords, h.coords, orders))
-            want = spec.pow_(spec.xi_code, e)
+            want = _pow(spec, spec.xi_code, e)
             assert int(table[a.index, h.index]) == want
             assert character(a, h, spec).code == want
     with pytest.raises(ValueError, match="root order"):
@@ -494,20 +516,36 @@ def test_group_algebra_mismatch_errors():
 def test_basis_coordinates_and_exact_degree(q, tower):
     spec = FieldSpec(q, tower)
     g = spec.generator
-    assert spec.exact_degree(g) == tower and spec.exact_degree(1) == 1
-    basis = [spec.pow_(g, j) for j in range(tower)]
+    assert spec.vdegree([g, 1]).tolist() == [tower, 1]
+    basis = [_pow(spec, g, j) for j in range(tower)]
     table = spec.basis_coordinates(basis)
     assert set(table.ravel().tolist()) <= set(spec.subfield_codes(1).tolist())
     for c in range(spec.size):
         acc = 0
         for coef, b in zip(table[c].tolist(), basis):
-            acc = spec.add(acc, spec.mul(coef, b))
+            acc = _add(spec, acc, _mul(spec, coef, b))
         assert acc == c
     # a subspace: its elements have coordinates, the others -1s
     part = spec.basis_coordinates(basis[:1])
     assert np.flatnonzero(part[:, 0] >= 0).tolist() == spec.subfield_codes(1).tolist()
     assert (part[[c for c in range(spec.size) if part[c, 0] < 0]] == -1).all()
-    assert spec.basis_coordinates([1, g, spec.add(1, g)]) is None  # dependent
+    assert spec.basis_coordinates([1, g, _add(spec, 1, g)]) is None  # dependent
+
+
+@pytest.mark.parametrize("q,tower", [(2, 4), (4, 2), (3, 4), (11, 2), (2, 11)])
+def test_vdegree_is_the_least_frobenius_period(q, tower):
+    # the least k with A^(q^k) = A, by repeated q-th powers
+    spec = FieldSpec(q, tower)
+    A = np.arange(spec.size)
+    want = np.zeros(spec.size, dtype=np.int64)
+    power = A
+    for k in range(1, tower + 1):
+        power = spec.vpow(power, q)
+        want[(want == 0) & (power == A)] = k
+    assert want[0] == 1 and (want > 0).all()
+    assert np.array_equal(spec.vdegree(A), want)
+    assert spec.vdegree(A.reshape(-1, q)).tolist() == want.reshape(-1, q).tolist()
+    assert int(spec.vdegree(spec.generator)) == tower
 
 
 def test_element_string_roundtrip():
@@ -537,3 +575,14 @@ def test_field_bootstrap_is_one_companion_matrix():
                 if re.search(r"_poly_|_raw_mul|_raw_pow", text)]
     assert [name for name, text in sorted(sources.items())
             if re.search(r"_(companion|mat_pow)\b", text)] == ["algebra.py"]
+
+
+def test_field_arithmetic_is_the_array_ops():
+    """FieldSpec has no scalar twins of its array ops, and nothing in the
+    package calls them: FieldElement is the one scalar interface."""
+    names = ("add", "neg", "sub", "mul", "inv", "pow_", "frob", "element_order",
+             "exact_degree", "in_subfield")
+    assert [name for name in names if hasattr(FieldSpec, name)] == []
+    call = re.compile(r"\bspec\.(" + "|".join(names) + r")\(")
+    assert [path.name for path in Path(qacodes.__file__).parent.glob("*.py")
+            if call.search(path.read_text(encoding="utf-8"))] == []

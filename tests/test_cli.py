@@ -314,7 +314,7 @@ def test_verify_paper_reports_a_broken_lift_as_a_failure(capsys, monkeypatch):
     # class 1 leaves the ideal; the cached decomposition is left alone
     broken = SemisimpleDecomposition(AbelianGroup((3,)), 2)
     psi = broken.psi_matrix(1)
-    psi[0, 0] = broken.spec.add(int(psi[0, 0]), 1)
+    psi[0, 0] = broken.spec.vadd(psi[0, 0], 1)
     broken._psi_matrix[1] = psi
     plain = diagnostics.decompose_algebra
     monkeypatch.setattr(diagnostics, "decompose_algebra", lambda group, q: (

@@ -34,7 +34,7 @@ def test_a_lift_outside_its_ideal_fails_projection_and_lift():
     i = 1
     assert all(_rows(decomposition_checks(dec, random.Random(0))).values())
     psi = dec.psi_matrix(i)
-    psi[0, 0] = dec.spec.add(int(psi[0, 0]), 1)  # plus the monomial at 0
+    psi[0, 0] = dec.spec.vadd(psi[0, 0], 1)  # plus the monomial at 0
     dec._psi_matrix[i] = psi
     # project() itself still refuses the broken lift
     broken = GroupAlgebraElement(dec.group, dec.spec, dec.lift_vector(i, 1))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qacodes.algebra import FieldSpec
+from qacodes.errors import CapExceededError
 from qacodes.families import (FamilyRow, FamilySpec, builtin_lcd_outers, family_member,
                               family_report, verify_lcd_member)
 from qacodes.linear_codes import LinearCode, enumerate_codes
@@ -75,9 +76,17 @@ def test_report_rates_exact():
     for row, outer in zip(rows, outers):
         assert row.rate == Fraction(outer.dim, 9 * outer.length)
         assert row.length == 9 * outer.length
-        d = row.distance if row.distance is not None else row.distance_bound
-        assert row.relative_distance == Fraction(d, row.length)
-        assert d >= 9 * outer.min_distance()
+        assert row.relative_distance == Fraction(row.distance, row.length)
+        assert row.distance >= 9 * outer.min_distance()
+
+
+def test_member_past_the_cap_is_refused():
+    # q^k = 16 words: the outer [4,4] code is refused before the member is weighed
+    spec = FamilySpec(2, 3, [LinearCode(F2, 4, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                [0, 0, 1, 0], [0, 0, 0, 1]])])
+    with pytest.raises(CapExceededError, match=r"\[4,4\]"):
+        family_member(spec, 0, cap=8)
+    assert family_member(spec, 0, cap=16)[1].distance == 9
 
 
 def test_builtin_library_is_lcd_and_sorted():

@@ -229,7 +229,7 @@ def test_lift_vector_matches_lift_on_any_shape(orders, q):
                 want = dec.lift(i, FieldElement(spec, int(sample[idx])))
                 assert got[idx].tolist() == want.coeffs.tolist()
     # codes out of range, and one outside F_q where the tower is larger
-    outside = [c for c in range(spec.size) if not spec.in_subfield(c, 1)][:1]
+    outside = [c for c in range(spec.size) if not spec.vin_subfield(c, 1)][:1]
     for bad in [-1, spec.size] + outside:
         with pytest.raises(ValueError, match="class field"):
             dec.lift_vector(0, [[0, bad]])
