@@ -19,7 +19,7 @@ from .idempotents import (CyclotomicClass, SemisimpleDecomposition,
                           cyclotomic_classes, decompose_algebra)
 from .linear_codes import (CodeParams, LinearCode, code_from_descriptor,
                            code_to_descriptor, embed_code, enumerate_codes,
-                           frobenius_twist, gaussian_binomial, rref_canonicalize)
+                           frobenius_twist, gaussian_binomial)
 from .search import Caps, SearchEntry, SearchResult, SearchSpec, search, stage1_filter
 
 __all__ = [
@@ -34,6 +34,6 @@ __all__ = [
     "distance_bound", "embed_code", "enumerate_codes", "family_member",
     "family_report", "frobenius_twist", "gaussian_binomial", "gcc_build",
     "gcc_scheme_from_qa", "is_qa", "predict_params", "qa_from_constituents",
-    "qa_from_descriptor", "qa_to_descriptor", "rref_canonicalize", "search",
+    "qa_from_descriptor", "qa_to_descriptor", "search",
     "simple_scheme", "stage1_filter", "subfield_trace", "verify_lcd_member",
 ]

@@ -488,6 +488,9 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, e: int):
+        # a nonzero base needs only e mod |K| - 1 and zero only the sign of
+        # e, so any Python int fits vpow's int64 exponent
+        e = e % (self.spec.size - 1) if self.code else min(max(e, -1), 1)
         return FieldElement(self.spec, int(self.spec.vpow(self.code, e)))
 
     def inverse(self) -> "FieldElement":
@@ -808,9 +811,6 @@ class GroupAlgebraElement:
         return cls(group, spec, c)
 
     # -- structure -----------------------------------------------------------
-
-    def coeff(self, g: GroupElement) -> FieldElement:
-        return FieldElement(self.spec, int(self.coeffs[g.index]))
 
     def weight(self) -> int:
         return int(np.count_nonzero(self.coeffs))

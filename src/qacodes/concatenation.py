@@ -100,16 +100,11 @@ class QACode:
 
 def _class_position(dec: SemisimpleDecomposition, key) -> tuple[int, int]:
     """Class index i of a group-element key (a GroupElement or a coordinate
-    tuple) and its position j in that class: key = q^j * rep.  A coordinate
-    outside [0, order) is rejected, not reduced."""
-    group = dec.group
-    coords = tuple(int(c) for c in (key.coords if isinstance(key, GroupElement) else key))
-    if any(not 0 <= c < m for c, m in zip(coords, group.orders)):
-        raise ValueError(f"class_member {list(coords)} lies outside the group "
-                         f"{list(group.orders)}")
-    member = group.element(coords)
-    i = dec.class_index(member)
-    return i, dec.classes[i].members.index(member)
+    tuple) and its position j in that class: key = q^j * rep.  `class_index`
+    rejects a key outside the group."""
+    i = dec.class_index(key)
+    coords = key.coords if isinstance(key, GroupElement) else key
+    return i, dec.classes[i].members.index(dec.group.element(coords))
 
 
 def _resolve_assignment(dec: SemisimpleDecomposition,

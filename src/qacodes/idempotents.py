@@ -151,12 +151,15 @@ class SemisimpleDecomposition:
         return len(self.classes)
 
     def class_index(self, member) -> int:
-        """Class position for any member of it (tuple or GroupElement)."""
-        if isinstance(member, GroupElement):
-            g = self.group.element(member.coords)
-        else:
-            g = self.group.element(tuple(member))
-        return int(self._class_of_index[g.index])
+        """Class position for any member of it (tuple or GroupElement).  A
+        coordinate outside [0, order) is rejected, not reduced."""
+        orders = self.group.orders
+        coords = tuple(int(c) for c in (member.coords if isinstance(member, GroupElement)
+                                        else member))
+        if len(coords) != len(orders) or any(not 0 <= c < m for c, m in zip(coords, orders)):
+            raise ValueError(f"class_member {list(coords)} lies outside the group "
+                             f"{list(orders)}")
+        return int(self._class_of_index[self.group.element(coords).index])
 
     def subfield_generator(self, i: int) -> FieldElement:
         """Designated generator of the class field over F_q (a character value)."""

@@ -81,15 +81,13 @@ class CodeParams:
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 
-def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int] | np.ndarray]:
+def rref(field: Subfield, matrix) -> np.ndarray:
     """Reduced row echelon form over the given field.
 
-    A two-dimensional matrix gives its nonzero rows and the list of its
-    pivot columns.  Leading axes make a stack, and one loop reduces every
-    matrix of it: the result is the reduced stack, in the input's shape
-    with each matrix's zero rows last, and an int array of each matrix's
-    pivot columns (the stack's shape, then one slot per row), -1 past its
-    rank.
+    A two-dimensional matrix gives its nonzero rows.  Leading axes make a
+    stack, and one loop reduces every matrix of it: the result is the
+    reduced stack, in the input's shape with each matrix's zero rows last.
+    `pivot_columns` reads the pivots off the rows.
     """
     spec = field.spec
     R = np.array(matrix, dtype=np.int32, copy=True)
@@ -98,7 +96,6 @@ def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int] | np.ndarray]:
     shape = R.shape
     rows, n = shape[-2:]
     R = R.reshape(math.prod(shape[:-2]), rows, n)
-    pivots = np.full(R.shape[:2], -1)
     at = np.arange(len(R))
     steps = 0  # the steps that found a pivot in some matrix
     for t in range(min(rows, n)):
@@ -114,7 +111,6 @@ def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int] | np.ndarray]:
         if not any(leads):
             break
         steps = t + 1
-        pivots[:, t] = col if all(leads) else np.where(lead != 0, col, -1)
         row = R[:, t]
         if np.count_nonzero(below):  # swap the pivot row into row t
             src = t + below
@@ -131,17 +127,21 @@ def rref(field: Subfield, matrix) -> tuple[np.ndarray, list[int] | np.ndarray]:
             if np.count_nonzero(factor):
                 R = spec.vadd(R, spec.vmul(spec.vneg(factor)[:, :, None], row[:, None, :]))
     if len(shape) == 2:
-        return R[0, :steps], pivots[0, :steps].tolist()
-    return R.reshape(shape), pivots.reshape(shape[:-1])
+        return R[0, :steps]
+    return R.reshape(shape)
+
+
+def pivot_columns(rows) -> np.ndarray:
+    """The column of each row's first nonzero entry (last axis): the pivots
+    of RREF rows.  A zero row gives 0."""
+    return np.argmax(np.not_equal(rows, 0), axis=-1)
 
 
 def rank(field: Subfield, matrix) -> int | np.ndarray:
     """The rank of a matrix, or an int array of the ranks of a stack of
-    them (leading axes), from one `rref` call."""
-    pivots = rref(field, matrix)[1]
-    if isinstance(pivots, list):
-        return len(pivots)
-    return np.count_nonzero(pivots >= 0, axis=-1)
+    them (leading axes): the nonzero rows of one `rref` call."""
+    nonzero = np.count_nonzero(rref(field, matrix).any(axis=-1), axis=-1)
+    return nonzero if np.ndim(nonzero) else int(nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +418,10 @@ class LinearCode:
             raise ValueError(f"generator rows must have length {self.length}")
         if arr.size and not field.spec.vin_subfield(arr, field.degree).all():
             raise ValueError("generator entries fall outside the declared field")
-        if _canonical:
-            gens = arr
-            pivots = [int(np.argmax(row != 0)) for row in arr]
-        else:
-            gens, pivots = rref(field, arr)
+        gens = arr if _canonical else rref(field, arr)
         gens.setflags(write=False)
         self.gens = gens
-        self.pivots = tuple(pivots)
+        self.pivots = tuple(pivot_columns(gens).tolist())
         self._sets = None  # the information sets, found at their first use
 
     @property
@@ -447,11 +443,6 @@ class LinearCode:
                 f"size-{self.field.size} field", count, cap)
         return count
 
-    def _distribution(self, cap: int) -> np.ndarray:
-        """Codeword counts by Hamming weight, refused past the cap."""
-        self._codeword_count(cap)
-        return weight_distributions(self.field, self.gens)
-
     def _information_sets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Generator matrices of the code, each systematic on an information
         set, with the columns of that set that no earlier set holds; found
@@ -470,10 +461,10 @@ class LinearCode:
         used[list(self.pivots)] = True
         while True:
             order = np.argsort(used, kind="stable")  # unused columns first
-            R, pivots = rref(self.field, self.gens[:, order])
-            if len(pivots) != k:
+            R = rref(self.field, self.gens[:, order])
+            if len(R) != k:
                 raise InvariantError("an information set does not have full rank")
-            new = order[pivots]
+            new = order[pivot_columns(R)]
             new = new[~used[new]]
             if not len(new):
                 self._sets = tuple(sets)
@@ -542,11 +533,13 @@ class LinearCode:
             d = self._information_set_distance(count)
             if d is not None:
                 return d
-        return least_weight(self._distribution(cap))
+        return least_weight(weight_distributions(self.field, self.gens))
 
     def weight_distribution(self, cap: int = DEFAULT_CODEWORD_CAP) -> np.ndarray:
-        """Codeword counts by Hamming weight, indices 0..length."""
-        return self._distribution(cap)
+        """Codeword counts by Hamming weight, indices 0..length, refused past
+        the cap."""
+        self._codeword_count(cap)
+        return weight_distributions(self.field, self.gens)
 
     # -- duality ----------------------------------------------------------------
 
@@ -604,14 +597,6 @@ def hull_dimensions(field: Subfield, gens) -> int | np.ndarray:
     gens = np.asarray(gens, dtype=np.int32)
     gram = field.spec.vdot(gens, np.swapaxes(gens, -1, -2))
     return gens.shape[-2] - rank(field, gram)
-
-
-def rref_canonicalize(field: Subfield, matrix) -> LinearCode:
-    """Canonical code for an arbitrary generator matrix (zero rows dropped)."""
-    arr = np.array(matrix, dtype=np.int32)
-    if arr.ndim != 2:
-        raise ValueError("expected a two-dimensional matrix")
-    return LinearCode(field, arr.shape[1], arr)
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +666,15 @@ def frobenius_twist(code: LinearCode, times: int = 1) -> LinearCode:
     """Image of a code under the entrywise base-field Frobenius x -> x^(q^times).
 
     A field automorphism maps linear codes to linear codes of identical
-    weight structure, so parameters are preserved.
+    weight structure, so parameters are preserved.  Frobenius fixes 0 and 1,
+    so it maps an RREF matrix to an RREF matrix.
     """
     spec = code.field.spec
     t = times % code.field.degree
     if t == 0:
         return code
     table = spec.vpow(np.arange(spec.size), spec.q ** t)
-    return LinearCode(code.field, code.length, table[code.gens])
+    return LinearCode(code.field, code.length, table[code.gens], _canonical=True)
 
 
 # ---------------------------------------------------------------------------

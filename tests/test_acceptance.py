@@ -199,7 +199,7 @@ def _intersection_basis_hull_dim(code):
     G, H = code.gens, code.dual().gens
     n = code.length
     stacked = np.vstack([np.hstack([G, G]), np.hstack([H, np.zeros_like(H)])])
-    R, _ = rref(code.field, stacked.astype(np.int32))
+    R = rref(code.field, stacked.astype(np.int32))
     hull_rows = [row[n:] for row in R if not row[:n].any()]
     if not hull_rows:
         return 0

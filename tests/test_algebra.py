@@ -76,6 +76,22 @@ def test_field_scalar_arithmetic_f16():
     assert a.frobenius(64) == a and a.frobenius(65) == a ** 2
 
 
+def test_powers_past_int64():
+    """An exponent of any size: a nonzero base takes it mod |K| - 1, and
+    zero only its sign (0**0 = 1, no inverse of zero)."""
+    spec = FieldSpec(2, 4)
+    a = spec.element(2)
+    for e in (2 ** 63, -(2 ** 63), 2 ** 64 + 1):
+        assert a ** e == a ** (e % 15)
+    assert a ** (2 ** 64 + 1) == a ** 2
+    assert spec.zero ** 2 ** 63 == spec.zero
+    assert spec.zero ** 0 == spec.one
+    with pytest.raises(ZeroDivisionError):
+        spec.zero ** -(2 ** 63)
+    one = FieldSpec(2, 1).one
+    assert one ** 2 ** 70 == one
+
+
 @pytest.mark.parametrize("q,t", [(2, 4), (3, 2), (4, 1), (2, 1), (5, 2)])
 def test_field_axioms_random(q, t):
     spec = FieldSpec(q, t)

@@ -118,6 +118,18 @@ def test_class_index_accepts_any_member():
     assert dec.class_index((0, 0)) == 0
 
 
+def test_class_index_rejects_members_outside_the_group():
+    """A coordinate outside [0, order), or a wrong number of coordinates, is
+    an error, not reduced: (5, 0) would otherwise be read as (0, 0) and
+    (7, -2) as (2, 3)."""
+    dec = decompose_algebra(G55, 2)
+    for member in [(5, 0), (7, -2), (-1, 0), (1,), (1, 2, 0)]:
+        with pytest.raises(ValueError, match=r"lies outside the group \[5, 5\]"):
+            dec.class_index(member)
+    with pytest.raises(ValueError, match="lies outside the group"):
+        dec.class_index(AbelianGroup((7, 7)).element((6, 1)))
+
+
 def test_projection_examples():
     dec = decompose_algebra(G55, 2)
     spec = dec.spec
