@@ -17,7 +17,9 @@ digit-wise sum mod p on either presentation.  Every dot product over the
 field -- matrix products, projections, lifts, traces, polynomial
 evaluation -- is `vdot` or `vtrace`, built on `vsum`.  `FieldElement` is
 the one scalar interface: each of its operations is one of these array ops
-on its code.
+on its code.  Element text is one array codec too: `to_text` writes codes of
+any shape as strings of base-p digits and `from_text` reads them back in one
+grammar, with `element_str` and `from_string` as their scalar fronts.
 
 Group elements are coordinate tuples ordered mixed-radix lexicographically
 with the rightmost coordinate varying fastest; that single ordering fixes
@@ -174,11 +176,65 @@ def modulus_str(modulus: Sequence[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the ambient field
+# element text: the base-p digits of a code, lowest degree first, written as
+# ASCII digits ("0110") or as comma-separated decimal numbers ("0,1,1,0"),
+# the comma form being the only one when p > 10
 
-def element_digits(s: str, p: int) -> list[str]:
-    """Digits of an element string: comma-separated when p > 10 or commas occur."""
-    return s.split(",") if p > 10 or "," in s else list(s.strip())
+def _scan_text(strings: list[str], p: int):
+    """One array pass of the element grammar over a list of strings: per
+    string whether it is malformed (a character other than an ASCII digit or
+    a comma, an empty number, or a number with a leading zero), its digit
+    count and whether a digit is p or more; and the digit values of all the
+    strings in row-major order."""
+    m = len(strings)
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=m)
+    # the code points of all strings, each followed by a NUL that ends its
+    # last number
+    cp = np.frombuffer("\0".join([*strings, ""]).encode("utf-32-le", "surrogatepass"),
+                       dtype=np.uint32)
+    row = np.repeat(np.arange(m), lengths + 1)
+    digit = cp - ord("0") < 10
+    comma = cp == ord(",")
+    commas = np.bincount(row[comma], minlength=m)
+    # in the comma form a run of digits is one number, otherwise each digit is
+    joined = (commas > 0) | (p > 10)
+    cut = np.ones(len(cp) + 1, dtype=bool)  # whether a number ends before each position
+    cut[1:-1] = ~(digit[:-1] & digit[1:] & joined[row[:-1]])
+    first = np.flatnonzero(digit & cut[:-1])
+    size = np.flatnonzero(digit & cut[1:]) - first + 1
+    width = len(str(p - 1))
+    values = cp[first].astype(np.int64) - ord("0")
+    for k in range(1, width):
+        values = np.where(k < size, 10 * values + cp[np.minimum(first + k, len(cp) - 1)] - ord("0"),
+                          values)
+    # out of place: a character other than a digit or a comma, besides the
+    # NUL, and the leading zero of a number
+    other = ~(digit | comma)
+    other[first[(size > 1) & (cp[first] == ord("0"))]] = True
+    count = np.where(joined, commas + 1, lengths)
+    rows = row[first]
+    malformed = (np.bincount(row[other], minlength=m) > 1) | (np.bincount(rows, minlength=m) != count)
+    high = np.bincount(rows[(size > width) | (values >= p)], minlength=m) > 0
+    return malformed, count, high, values
+
+
+def _malformed(s: str, p: int) -> str:
+    form = (f"ASCII digits below {p}, with or without commas between them" if p <= 10 else
+            f"comma-separated decimal numbers below {p} with no leading zero")
+    return f"element string {s!r} is malformed: write {form}"
+
+
+def element_width(s: str, p: int) -> int:
+    """Digit count of one element string in characteristic p; a malformed
+    string is refused."""
+    malformed, count, _, _ = _scan_text([s], p)
+    if malformed[0]:
+        raise ValueError(_malformed(s, p))
+    return int(count[0])
+
+
+# ---------------------------------------------------------------------------
+# the ambient field
 
 
 class FieldSpec:
@@ -226,6 +282,10 @@ class FieldSpec:
             codes //= p
         self._digits = digits
         self._powvec = p ** np.arange(self.n, dtype=np.int64)
+        # the text of each digit: row 0 for the first, row 1, with the
+        # separator in front, for every later one
+        sep = "" if p <= 10 else ","
+        self._digit_text = np.array([[str(d) for d in range(p)], [sep + str(d) for d in range(p)]])
 
         # multiplication by code c as an F_p-linear map on digit vectors: row
         # j holds the digits of c * x^j, the previous row times the companion
@@ -411,19 +471,44 @@ class FieldSpec:
     def from_string(self, s: str) -> "FieldElement":
         """Parse a coefficient string, lowest degree first ('0110' = x + x^2),
         with exactly one digit per degree of the presentation."""
-        digits = [int(ch) for ch in element_digits(s, self.p)]
-        if len(digits) != self.n:
-            raise ValueError(f"element string {s!r} has {len(digits)} digits; the "
-                             f"F_{self.size} presentation needs {self.n}")
-        if any(d < 0 or d >= self.p for d in digits):
-            raise ValueError(f"digits of {s!r} out of range for characteristic {self.p}")
-        return self.from_coeffs(digits)
+        return FieldElement(self, int(self.from_text(s)))
 
     def element_str(self, code: int) -> str:
-        digits = self._digits[code]
-        if self.p <= 10:
-            return "".join(str(int(d)) for d in digits)
-        return ",".join(str(int(d)) for d in digits)
+        return self.to_text(code)
+
+    # -- element text ----------------------------------------------------------
+
+    def to_text(self, codes):
+        """Element strings of codes of any shape, as nested lists (one str
+        for one code): the base-p digits, lowest degree first, each through
+        a table of digit strings and joined with "" when p <= 10 and with ","
+        otherwise."""
+        digits = self._digits.T[:, np.asarray(codes, dtype=np.int32)]
+        first, later = self._digit_text
+        # np.add is np.strings.add; naming it so spares importing numpy.strings
+        return functools.reduce(np.add, later[digits[1:]], first[digits[0]]).tolist()
+
+    def from_text(self, strings) -> np.ndarray:
+        """Codes of element strings (one str, or nested lists of str) in the
+        one grammar: n ASCII digits below p (only when p <= 10), or n
+        comma-separated decimal numbers below p with no leading zero.  Refuses
+        the first other string in row-major order, with its own message."""
+        texts = np.array(strings, dtype=object)
+        flat = texts.ravel().tolist()
+        malformed, count, high, values = _scan_text(flat, self.p)
+        bad = malformed | (count != self.n) | high
+        if bad.any():
+            raise ValueError(self._text_error(flat[bad.argmax()]))
+        return self._from_digits(values.reshape(len(flat), self.n)).reshape(texts.shape)
+
+    def _text_error(self, s: str) -> str:
+        malformed, count, _, _ = _scan_text([s], self.p)
+        if malformed[0]:
+            return _malformed(s, self.p)
+        if count[0] != self.n:
+            return (f"element string {s!r} has {count[0]} digits; the "
+                    f"F_{self.size} presentation needs {self.n}")
+        return f"digits of {s!r} out of range for characteristic {self.p}"
 
     @property
     def zero(self) -> "FieldElement":
@@ -882,6 +967,6 @@ class GroupAlgebraElement:
         return hash((self.group.orders, self.spec.field_key, self.coeffs.tobytes()))
 
     def __repr__(self):
-        terms = [f"({self.spec.element_str(int(c))})Y{self.group.at(i).coords}"
-                 for i, c in enumerate(self.coeffs) if c]
+        terms = [f"({text})Y{self.group.at(i).coords}"
+                 for i, text in enumerate(self.spec.to_text(self.coeffs)) if self.coeffs[i]]
         return " + ".join(terms) if terms else "0"

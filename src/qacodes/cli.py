@@ -27,8 +27,7 @@ from .errors import CapExceededError, InvariantError
 from .families import FamilySpec, builtin_lcd_outers, family_report
 from .idempotents import cyclotomic_classes, decompose_algebra
 from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP,
-                           _json_value, code_from_descriptor, code_to_descriptor,
-                           rows_to_strings)
+                           _json_value, code_from_descriptor, code_to_descriptor)
 from .reference import run_reference_suite
 from .search import Caps, SearchSpec, search
 
@@ -103,9 +102,9 @@ def _cmd_decompose(args) -> tuple[dict, list[str]]:
         "group": list(group.orders),
         "modulus": list(spec.modulus),
         "root_order": spec.root_order,
-        "root_of_unity": spec.element_str(spec.xi_code),
+        "root_of_unity": spec.to_text(spec.xi_code),
         "classes": [{"rep": list(c.rep.coords), "size": c.size} for c in dec.classes],
-        "idempotents": rows_to_strings(spec, [e.coeffs for e in dec.idempotents]),
+        "idempotents": spec.to_text([e.coeffs for e in dec.idempotents]),
     }
     lines = [f"algebra F_{args.q}[{group!r}], splitting field F_{spec.p}[x]/"
              f"({modulus_str(spec.modulus)})",

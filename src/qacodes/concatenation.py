@@ -23,9 +23,9 @@ import numpy as np
 from .algebra import AbelianGroup, GroupAlgebraElement, GroupElement
 from .errors import InvariantError
 from .idempotents import SemisimpleDecomposition, decompose_algebra
-from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode, _json_ints,
-                           _json_keys, _json_rows, _json_value, embed_code, frobenius_twist,
-                           rank, rows_from_strings, rows_to_strings)
+from .linear_codes import (DEFAULT_CODEWORD_CAP, CodeParams, LinearCode, _check_row_lengths,
+                           _json_ints, _json_keys, _json_rows, _json_value, embed_code,
+                           frobenius_twist, rank)
 
 
 class QACode:
@@ -403,7 +403,7 @@ def predict_params(inner_length: int, inner_dims: Sequence[int],
 def constituent_entry(dec: SemisimpleDecomposition, i: int, code: LinearCode) -> dict:
     """The descriptor entry of the outer code `code` at class i."""
     return {"class_member": list(dec.classes[i].rep.coords),
-            "generators": rows_to_strings(dec.spec, code.gens)}
+            "generators": dec.spec.to_text(code.gens)}
 
 
 def qa_to_descriptor(qa: QACode) -> dict:
@@ -429,15 +429,22 @@ def qa_from_descriptor(obj: dict) -> QACode:
     modulus = tuple(_json_ints(obj.get("modulus", []), "modulus")) or None
     dec = decompose_algebra(group, q, modulus=modulus)
     spec = dec.spec
-    assignment: dict = {}
+    entries = []
     for entry in _json_value(obj["constituents"], list, "constituents"):
         _json_value(entry, dict, "constituent")
         _json_keys(entry, ("class_member", "generators"), what="descriptor constituent")
         member = tuple(_json_ints(entry["class_member"], "class_member"))
         i, _ = _class_position(dec, member)
-        k_i = dec.classes[i].size
-        code = LinearCode(spec.subfield(k_i), index,
-                          rows_from_strings(spec, _json_rows(entry["generators"]), index))
+        entries.append((member, i, _check_row_lengths(_json_rows(entry["generators"]), index)))
+    # the generators of all constituents in one codec call
+    rows = [row for _, _, gens in entries for row in gens]
+    codes = spec.from_text(rows).reshape(len(rows), index)
+    assignment: dict = {}
+    start = 0
+    for member, i, gens in entries:
+        code = LinearCode(spec.subfield(dec.classes[i].size), index,
+                          codes[start:start + len(gens)])
+        start += len(gens)
         if member in assignment:
             raise ValueError(f"duplicate constituent for class member {member}")
         assignment[member] = code

@@ -57,7 +57,7 @@ def field_axiom_checks(spec, rng: random.Random) -> list[Check]:
     powers = pow_(spec.xi_code, [M] + [M // r for r in _prime_factors(M)])
     out.append((f"designated root of unity has exact order {M}",
                 bool(powers[0] == 1 and (powers[1:] != 1).all()),
-                spec.element_str(spec.xi_code)))
+                spec.to_text(spec.xi_code)))
     return out
 
 

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import FieldSpec, Subfield, element_digits, prime_power
+from .algebra import FieldSpec, Subfield, element_width, prime_power
 from .errors import CapExceededError, InvariantError
 
 DEFAULT_CODEWORD_CAP = 2 ** 24
@@ -730,19 +730,12 @@ def embed_code(code: LinearCode, target: Subfield) -> LinearCode:
 # ---------------------------------------------------------------------------
 # descriptors
 
-def rows_to_strings(spec: FieldSpec, rows) -> list[list[str]]:
-    """Element strings of a matrix of codes, row by row (a descriptor's
-    "generators")."""
-    return [[spec.element_str(int(v)) for v in row] for row in rows]
-
-
-def rows_from_strings(spec: FieldSpec, rows: list[list[str]], length: int) -> np.ndarray:
-    """The codes of type-checked "generators" rows, as a (rows, length) matrix."""
+def _check_row_lengths(rows: list[list[str]], length: int) -> list[list[str]]:
+    """The type-checked "generators" rows, once each is seen to hold `length` entries."""
     for r, row in enumerate(rows):
         if len(row) != length:
             raise ValueError(f"generator row {r} has {len(row)} entries; expected {length}")
-    codes = [[spec.from_string(s).code for s in row] for row in rows]
-    return np.array(codes, dtype=np.int32).reshape(len(codes), length)
+    return rows
 
 
 def code_to_descriptor(code: LinearCode) -> dict:
@@ -752,7 +745,7 @@ def code_to_descriptor(code: LinearCode) -> dict:
         "modulus": list(spec.modulus),
         "field_degree": code.field.degree,
         "length": code.length,
-        "generators": rows_to_strings(spec, code.gens),
+        "generators": spec.to_text(code.gens),
     }
 
 
@@ -811,8 +804,9 @@ def code_from_descriptor(obj: dict, spec: FieldSpec | None = None) -> LinearCode
             modulus = _json_ints(obj["modulus"], "modulus")
             spec = FieldSpec(q, (len(modulus) - 1) // b, modulus=modulus)
         else:
-            width = len(element_digits(gens[0][0], p)) if gens and gens[0] else b * degree
+            width = element_width(gens[0][0], p) if gens and gens[0] else b * degree
             if width % b != 0:
                 raise ValueError("element string width does not match the base field")
             spec = FieldSpec(q, width // b)
-    return LinearCode(spec.subfield(degree), length, rows_from_strings(spec, gens, length))
+    rows = spec.from_text(_check_row_lengths(gens, length)).reshape(len(gens), length)
+    return LinearCode(spec.subfield(degree), length, rows)

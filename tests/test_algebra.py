@@ -581,6 +581,73 @@ def test_element_string_roundtrip():
         FieldSpec(4, 1).from_string("1")
 
 
+def test_element_grammar_refuses_what_is_not_an_element():
+    """Only n ASCII digits below p (p <= 10) or n comma-separated decimal
+    numbers below p with no leading zero are elements; nothing is stripped,
+    signed, underscored or read as a non-ASCII digit."""
+    f16 = FieldSpec(2, 4)
+    for s in (" 0110", "0110 ", "0,1, 1,0", "+1,0,0,0", "١٠٠٠",
+              "0_1,1,0,0", "0110\x00", "0\x00110", "0,,1,1", "00,1,1,0", "0,1,1,0,"):
+        with pytest.raises(ValueError) as info:
+            f16.from_string(s)
+        assert str(info.value) == (f"element string {s!r} is malformed: write ASCII "
+                                   "digits below 2, with or without commas between them")
+    assert f16.from_string("0,1,1,0").code == f16.from_string("0110").code == 6
+    f169 = FieldSpec(13, 2)
+    for s in ("12, 0", "12,-0", " 12,0", "012,0", "12,0_0", "", ",", "1,,2"):
+        with pytest.raises(ValueError) as info:
+            f169.from_string(s)
+        assert str(info.value) == (f"element string {s!r} is malformed: write comma-"
+                                   "separated decimal numbers below 13 with no leading zero")
+    assert f169.from_string("12,0").code == 12 and f169.from_string("0,1").code == 13
+    with pytest.raises(ValueError, match="has 1 digits"):
+        f169.from_string("120")
+    with pytest.raises(ValueError, match="out of range for characteristic 13"):
+        f169.from_string("13,0")
+
+
+def _text_oracle(spec, code):
+    digits = [str(code // spec.p ** j % spec.p) for j in range(spec.n)]
+    return ("," if spec.p > 10 else "").join(digits)
+
+
+@pytest.mark.parametrize("spec", [
+    FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(4, 1), FieldSpec(3, 2), FieldSpec(2, 4),
+    FieldSpec(4, 2, modulus=(1, 0, 0, 1, 1)), FieldSpec(13, 1), FieldSpec(11, 2),
+    FieldSpec(2, 11, pair_tables=False)], ids=repr)
+def test_element_text_codec_matches_digit_oracle(spec):
+    """to_text spells out the base-p digits of every code, from_text reads
+    them back, in any shape, and a refused array names its first bad string
+    with the message that string gets alone."""
+    rng = np.random.default_rng(spec.size)
+    codes = rng.permutation(spec.size)
+    oracle = np.array([_text_oracle(spec, int(c)) for c in codes], dtype=object)
+    p = spec.p
+    for shape in [(0,), (2, 0, 3), (spec.size,), (spec.size // p, p), (p, 1, spec.size // p)]:
+        C = codes[:math.prod(shape)].reshape(shape)
+        text = spec.to_text(C)
+        assert text == oracle[:C.size].reshape(shape).tolist()
+        back = spec.from_text(text)
+        # nested lists keep no axis after an empty one
+        assert back.shape == np.shape(text) and np.array_equal(back.reshape(shape), C)
+    assert spec.to_text(codes[0]) == spec.element_str(int(codes[0])) == oracle[0]
+    assert spec.from_text(oracle[0]) == spec.from_string(oracle[0]).code == codes[0]
+    one = oracle[1]
+    sep = "," if p > 10 else ""
+    bad = [" " + one, one + " ", "+" + one, one[:-1], one + sep + "0", sep.join([str(p)] * spec.n),
+           "٠" + one[1:], "", one + "\x00"]
+    for s in bad:
+        with pytest.raises(ValueError) as alone:
+            spec.from_string(s)
+        text = oracle.reshape(-1, p).copy()
+        at = rng.integers(text.size - 1)
+        text.flat[at] = s
+        text.flat[at + 1:] = "?"  # more bad strings, later in row-major order
+        with pytest.raises(ValueError) as info:
+            spec.from_text(text.tolist())
+        assert str(info.value) == str(alone.value)
+
+
 def test_field_bootstrap_is_one_companion_matrix():
     """The field is built from the companion matrix of its modulus alone:
     no list-polynomial arithmetic is left, and the matrix helpers stay in

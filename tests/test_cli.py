@@ -17,7 +17,7 @@ import pytest
 from qacodes import __version__, cli, diagnostics, families, linear_codes, reference
 from qacodes.algebra import AbelianGroup, FieldSpec
 from qacodes.cli import main
-from qacodes.concatenation import qa_to_descriptor
+from qacodes.concatenation import qa_from_descriptor, qa_to_descriptor
 from qacodes.idempotents import SemisimpleDecomposition
 from qacodes.linear_codes import LinearCode, code_to_descriptor
 from qacodes.reference import qa_27_6_12
@@ -398,6 +398,48 @@ def test_short_element_string_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.strip() == ("error: element string '1' has 1 digits; "
                            "the F_4 presentation needs 2")
+
+
+@pytest.mark.parametrize("entry", [" 01", "01 ", "0, 1", "+1,0", "0_1,0", "١0"])
+def test_malformed_element_string_exits_2(capsys, tmp_path, entry):
+    """A string that is not n ASCII digits, nor n comma-separated plain
+    numbers, is refused, not normalised: one error line names it, from a flat
+    descriptor (with and without a modulus) and from a quasi-abelian one."""
+    flat = {"q": 4, "field_degree": 1, "length": 2, "generators": [["10", entry]]}
+    first = dict(flat, generators=[[entry, "10"]])  # the string the width is read from
+    docs = {"distance": [flat, first, dict(flat, modulus=[1, 1, 1])],
+            "construct": [{"q": 2, "group": [3], "index": 1, "constituents": [
+                {"class_member": [1], "generators": [[entry]]}]}]}
+    for command, variants in docs.items():
+        for doc in variants:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "--no-banner", command, "--code", str(path))
+            assert code == 2 and out == ""
+            assert err == (f"error: element string {entry!r} is malformed: write ASCII "
+                           "digits below 2, with or without commas between them\n")
+
+
+def test_element_text_is_the_array_codec(capsys, monkeypatch, qa27_file):
+    """Descriptors and the CLI read and write element text through the
+    array codec on FieldSpec: with its scalar fronts broken, well-formed text
+    still round-trips and the CLI output is unchanged."""
+    qa = qa_27_6_12()
+    flat = qa.flattened
+    argvs = [["--no-banner", "--json", "decompose", "--q", "2", "--group", "3,3"],
+             ["--no-banner", "--json", "construct", "--code", qa27_file]]
+    before = [run(capsys, *argv) for argv in argvs]
+
+    def scalar_front(*args):
+        raise AssertionError("element text went through a scalar front")
+
+    monkeypatch.setattr(FieldSpec, "element_str", scalar_front)
+    monkeypatch.setattr(FieldSpec, "from_string", scalar_front)
+    assert linear_codes.code_from_descriptor(code_to_descriptor(flat)) == flat
+    descriptor = qa_to_descriptor(qa)
+    assert qa_to_descriptor(qa_from_descriptor(descriptor)) == descriptor
+    assert [run(capsys, *argv) for argv in argvs] == before
+    assert before[0][0] == 0 and len(json.loads(before[0][1])["idempotents"]) == 5
 
 
 @pytest.mark.parametrize("command", ["distance", "construct"])
