@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -32,9 +33,19 @@ from .reference import run_reference_suite
 from .search import Caps, SearchSpec, search
 
 
+def integer(text: str) -> int:
+    """An integer written as an optional '-' and ASCII digits, the one form
+    the CLI reads for an option or a group order (`int` alone also takes
+    spaces, '+', '_' and other scripts' digits).  argparse names the type
+    after this function: "invalid integer value"."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_group(text: str) -> AbelianGroup:
     try:
-        return AbelianGroup(int(t) for t in text.split(","))
+        return AbelianGroup(integer(t) for t in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad group {text!r}: {exc}") from exc
 
@@ -198,7 +209,7 @@ def _cmd_family(args) -> tuple[dict, list[str]]:
                   for d in _json_value(_load_json(args.outer), list, "outer codes")]
     else:
         # the library is the hull filter, so --lcd has nothing more to check
-        outers = builtin_lcd_outers(args.q, args.max_outer_length)
+        outers = builtin_lcd_outers(args.q, args.max_outer_length, args.cap_subspaces)
     outers.sort(key=lambda c: (c.length, c.dim, c.gens.tobytes()))
     spec = FamilySpec(q=args.q, p=args.p, outer_codes=outers,
                       lcd_required=args.lcd and bool(args.outer))
@@ -242,19 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--no-banner", action="store_true",
                         help="suppress the version banner")
-    parser.add_argument("--cap-codewords", type=int, default=DEFAULT_CODEWORD_CAP,
+    parser.add_argument("--cap-codewords", type=integer, default=DEFAULT_CODEWORD_CAP,
                         help="max codewords for exhaustive enumeration")
-    parser.add_argument("--cap-subspaces", type=int, default=DEFAULT_SUBSPACE_CAP,
+    parser.add_argument("--cap-subspaces", type=integer, default=DEFAULT_SUBSPACE_CAP,
                         help="max subspaces for code enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classes", help="list the q-cyclotomic classes of a group")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--group", required=True, help="cyclic factor orders, e.g. 3,3")
     p.set_defaults(func=_cmd_classes)
 
     p = sub.add_parser("decompose", help="idempotents and splitting data of F_q[H]")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--group", required=True)
     p.set_defaults(func=_cmd_decompose)
 
@@ -279,21 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("search", help="search codes meeting a distance target")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=integer, required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--dmin", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None, help="only report this dimension")
+    p.add_argument("--index", type=integer, required=True)
+    p.add_argument("--dmin", type=integer, required=True)
+    p.add_argument("--dim", type=integer, default=None, help="only report this dimension")
     p.add_argument("--out", help="write results JSON here")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("family",
                        help="complementary-dual family report over C_p x C_p")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=int, required=True, dest="p")
+    p.add_argument("--q", type=integer, required=True)
+    p.add_argument("--p", type=integer, required=True, dest="p")
     p.add_argument("--outer", help="outer codes JSON (list of descriptors); "
                                    "defaults to the built-in LCD library")
-    p.add_argument("--max-outer-length", type=int, default=4,
+    p.add_argument("--max-outer-length", type=integer, default=4,
                    help="built-in library length limit")
     p.add_argument("--lcd", action="store_true",
                    help="require complementary-dual outer codes (the built-in "
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper",
                        help="run the reference reproduction and identity suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(func=_cmd_verify_paper)
 
     return parser

@@ -358,25 +358,19 @@ def concatenation_bound(slots, inner_distance) -> int:
 
 def predict_params(inner_length: int, inner_dims: Sequence[int],
                    inner_prefix_distances: Sequence[int],
-                   outer_params: Sequence[CodeParams],
-                   outer_field_degrees: Sequence[int] | None = None) -> CodeParams:
+                   outer_params: Sequence[CodeParams]) -> CodeParams:
     """Parameters of a concatenation from claimed inner/outer parameters,
-    without building anything.
+    without building anything; slot v's outer code is over the degree
+    `inner_dims[v]` extension.
 
     `inner_prefix_distances[v]` must be the exact minimum distance of the
     direct sum of the first v+1 inner codes, with outer codes already listed
-    in ascending distance order (the order the bound requires).
+    in ascending distance order (the order the bound requires), so that
+    `concatenation_bound` ranks the slots as they are listed.
     """
     s = len(inner_dims)
     if not (len(inner_prefix_distances) == len(outer_params) == s) or s == 0:
         raise ValueError("inner and outer parameter lists must have equal nonzero length")
-    if outer_field_degrees is not None:
-        if len(outer_field_degrees) != s:
-            raise ValueError("one field degree per outer code expected")
-        for i, (k, deg) in enumerate(zip(inner_dims, outer_field_degrees)):
-            if k != deg:
-                raise ValueError(
-                    f"slot {i}: outer field degree {deg} inconsistent with inner dimension {k}")
     N = outer_params[0].length
     if any(cp.length != N for cp in outer_params):
         raise ValueError("outer codes must share one length")
@@ -390,7 +384,8 @@ def predict_params(inner_length: int, inner_dims: Sequence[int],
         raise ValueError("outer codes must be listed in ascending distance order")
     if sum(inner_dims) > inner_length:
         raise ValueError("inner dimensions exceed the inner length")
-    bound = min(d * D for d, D in zip(dists, inner_prefix_distances))
+    bound = concatenation_bound(list(zip(dists, range(s))),
+                                lambda keys: inner_prefix_distances[len(keys) - 1])
     return CodeParams(
         inner_length * N,
         sum(k * cp.dim for k, cp in zip(inner_dims, outer_params)),

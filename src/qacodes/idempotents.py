@@ -138,10 +138,9 @@ class SemisimpleDecomposition:
             self._coords.append(coords)
             self._psi_matrix.append(psi_rows)
 
-        self._ideal_codes: dict[int, LinearCode] = {}
-        # each sum of minimal ideals whose distance was asked for, and that
-        # distance, by set of classes
-        self._sum_distances: dict[frozenset[int], tuple[LinearCode, int]] = {}
+        # each sum of minimal ideals asked for, by set of classes: its code,
+        # and its distance once that was asked for
+        self._sum_distances: dict[frozenset[int], tuple[LinearCode, int | None]] = {}
         self._validate()
 
     # -- small helpers -------------------------------------------------------
@@ -244,11 +243,10 @@ class SemisimpleDecomposition:
 
     def minimal_ideal_code(self, i: int) -> LinearCode:
         """The i-th minimal ideal as a base-field linear code of length |H|."""
-        code = self._ideal_codes.get(i)
-        if code is None:
-            code = LinearCode(self.spec.subfield(1), self.group.size, self._psi_matrix[i])
-            self._ideal_codes[i] = code
-        return code
+        key = frozenset((i,))
+        if key not in self._sum_distances:
+            self._sum_distances[key] = (self.ideal_sum_code([i]), None)
+        return self._sum_distances[key][0]
 
     def ideal_sum_code(self, indices) -> LinearCode:
         """Direct sum of several minimal ideals as one base-field code."""
@@ -262,13 +260,13 @@ class SemisimpleDecomposition:
         prediction over it reads the same value; the codeword cap is still
         checked on every call, with the message of `min_distance`."""
         key = frozenset(indices)
-        kept = self._sum_distances.get(key)
-        if kept is None:
-            code = self.ideal_sum_code(sorted(key))
-            kept = self._sum_distances[key] = (code, code.min_distance(cap))
+        code, d = self._sum_distances.get(key) or (self.ideal_sum_code(sorted(key)), None)
+        if d is None:
+            d = code.min_distance(cap)
+            self._sum_distances[key] = (code, d)
         else:
-            kept[0]._codeword_count(cap)
-        return kept[1]
+            code._codeword_count(cap)
+        return d
 
     # -- eager validation -------------------------------------------------------
 

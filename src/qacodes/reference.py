@@ -87,23 +87,16 @@ def binary_inner_data():
     return singles, prefix
 
 
-def predict_6400(prefix: list[int]) -> CodeParams:
-    """Binary prediction from the nested-sum distances of
-    `binary_inner_data`."""
-    return predict_params(25, [4, 4, 4, 4], prefix,
-                          [CodeParams(256, 201, 12)] * 4, [4, 4, 4, 4])
-
-
-def predict_164025(full_sum_distance: int = 4) -> CodeParams:
-    """Ternary analogue; the first three nested-sum distances are computed,
-    the four-ideal one is supplied (its 3^16 codewords exceed the default
-    enumeration cap)."""
-    dec = decompose_algebra(AbelianGroup((5, 5)), 3)
+def predict_large_example(q: int, outer: CodeParams) -> CodeParams:
+    """Parameters of the code over F_q[C5 x C5] with the outer code `outer`
+    at each class of LARGE_EXAMPLE_CLASSES: the concatenation bound on the
+    exact distances of the nested ideal sums, under a cap that admits the
+    q^16 codewords of the sum of all four."""
+    dec = decompose_algebra(AbelianGroup((5, 5)), q)
     idx = [dec.class_index(t) for t in LARGE_EXAMPLE_CLASSES]
-    prefix = [dec.ideal_sum_distance(idx[: v + 1]) for v in range(3)]
-    prefix.append(full_sum_distance)
-    return predict_params(25, [4, 4, 4, 4], prefix,
-                          [CodeParams(6561, 5076, 55)] * 4, [4, 4, 4, 4])
+    dims = [dec.classes[i].size for i in idx]
+    prefix = [dec.ideal_sum_distance(idx[: v + 1], q ** sum(dims)) for v in range(len(idx))]
+    return predict_params(dec.group.size, dims, prefix, [outer] * len(idx))
 
 
 def run_reference_suite(seed: int = 0) -> list[tuple[str, bool, str, float]]:
@@ -136,11 +129,11 @@ def run_reference_suite(seed: int = 0) -> list[tuple[str, bool, str, float]]:
     step(("binary inner ideals are [25,4,10]", ok, f"nested-sum distances {prefix}"),
          ("four-ideal sum has distance 4", prefix[3] == 4, f"got {prefix[3]}"))
 
-    p1 = predict_6400(prefix)
+    p1 = predict_large_example(2, CodeParams(256, 201, 12))
     step(("predicted [6400,3216,>=48]",
           (p1.length, p1.dim) == (6400, 3216) and p1.distance_lower_bound >= 48,
           str(p1)))
-    p2 = predict_164025()
+    p2 = predict_large_example(3, CodeParams(6561, 5076, 55))
     step(("predicted [164025,81216,>=220]",
           (p2.length, p2.dim) == (164025, 81216)
           and p2.distance_lower_bound >= 220,

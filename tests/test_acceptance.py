@@ -79,14 +79,12 @@ def test_c05_large_example_arithmetic():
     dec2 = decompose_algebra(G55, 2)
     idx2 = [dec2.class_index(t) for t in LARGE_EXAMPLE_CLASSES]
     prefix2 = [dec2.ideal_sum_code(idx2[:v + 1]).min_distance() for v in range(4)]
-    binary = predict_params(25, [4] * 4, prefix2,
-                            [CodeParams(256, 201, 12)] * 4, [4] * 4)
+    binary = predict_params(25, [4] * 4, prefix2, [CodeParams(256, 201, 12)] * 4)
     dec3 = decompose_algebra(G55, 3)
     idx3 = [dec3.class_index(t) for t in LARGE_EXAMPLE_CLASSES]
     prefix3 = [dec3.ideal_sum_code(idx3[:v + 1]).min_distance() for v in range(3)]
-    prefix3.append(4)  # 3^16 codewords exceed the cap; value supplied
-    ternary = predict_params(25, [4] * 4, prefix3,
-                             [CodeParams(6561, 5076, 55)] * 4, [4] * 4)
+    prefix3.append(dec3.ideal_sum_code(idx3).min_distance(3 ** 16))  # by information sets
+    ternary = predict_params(25, [4] * 4, prefix3, [CodeParams(6561, 5076, 55)] * 4)
     ok = (binary.length, binary.dim) == (6400, 3216) \
         and binary.distance_lower_bound >= 48 \
         and (ternary.length, ternary.dim) == (164025, 81216) \

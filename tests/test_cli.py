@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qacodes import __version__, cli, diagnostics, families, linear_codes, reference
+from qacodes import (__version__, cli, concatenation, diagnostics, families, linear_codes,
+                     reference)
 from qacodes.algebra import AbelianGroup, FieldSpec
 from qacodes.cli import main
 from qacodes.concatenation import qa_from_descriptor, qa_to_descriptor
@@ -163,7 +164,7 @@ def test_construct_bound_distance(capsys, qa27_file, tmp_path):
                        "--out", out_path)
     assert code == 0
     assert "parameters: [27,6,12]" in out
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert doc["params"] == {"length": 27, "dim": 6, "distance": 12}
 
     code, out, _ = run(capsys, "--no-banner", "bound", "--code", qa27_file)
@@ -184,12 +185,32 @@ def test_construct_bound_distance(capsys, qa27_file, tmp_path):
     assert [c["class_member"] for c in cons] == [[1, 0], [1, 1]]
 
 
+def test_constituents_of_a_code_in_another_presentation(capsys, monkeypatch, tmp_path):
+    """A flattened code written in another presentation of the tower (F_16
+    by x^4 + x^3 + 1, not the default x^4 + x + 1) is moved into the
+    decomposition's presentation, and `constituents` prints what it prints
+    for the code in the default one."""
+    doc = code_to_descriptor(reference.qa_50_12_18().flattened)
+    own, other = tmp_path / "own.json", tmp_path / "other.json"
+    own.write_text(json.dumps(doc))
+    other.write_text(json.dumps(dict(doc, modulus=[1, 0, 0, 1, 1])))
+    argv = ["--no-banner", "constituents", "--group", "5,5", "--code"]
+    want = run(capsys, *argv, str(own))
+    assert want[0] == 0 and len(want[1].splitlines()) == 3
+    embedded = []
+    embed = concatenation.embed_code
+    monkeypatch.setattr(concatenation, "embed_code",
+                        lambda *args: embedded.append(args) or embed(*args))
+    assert run(capsys, *argv, str(other)) == want
+    assert len(embedded) == 1
+
+
 def test_search_command(capsys, tmp_path):
     out_path = str(tmp_path / "res.json")
     code, out, _ = run(capsys, "--no-banner", "search", "--q", "2", "--group", "3,3",
                        "--index", "2", "--dmin", "8", "--out", out_path)
     assert code == 0
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     assert doc["results"], "distance 8 is reachable at index 2"
     for entry in doc["results"]:
         assert entry["params"]["distance"] >= 8
@@ -222,7 +243,7 @@ def test_family_command(capsys, tmp_path):
     code, out, _ = run(capsys, "--no-banner", "family", "--q", "2", "--p", "3",
                        "--lcd", "--max-outer-length", "2", "--out", out_path)
     assert code == 0
-    rows = open(out_path).read().strip().splitlines()
+    rows = Path(out_path).read_text().strip().splitlines()
     assert rows[0] == "i,n_i,length,dim,distance_exact_or_bound,rate,rel_distance,lcd"
     assert len(rows) == 5  # four LCD outer codes of length <= 2
     assert all(r.endswith(",1") for r in rows[1:])
@@ -284,6 +305,15 @@ def test_family_cap_refusal(capsys, monkeypatch):
     assert err == ("error: codeword enumeration for [4,4] over a size-2 field: "
                    "would need 16 > cap 8\n")
     assert weighed == []
+
+
+def test_family_library_obeys_the_subspace_cap(capsys):
+    """The built-in LCD library is a subspace census, so --cap-subspaces
+    bounds it: binary codes of length 3 have 16 subspaces."""
+    code, out, err = run(capsys, "--cap-subspaces", "5", "family", "--q", "2", "--p", "3")
+    assert (code, out) == (3, "")
+    assert err == ("error: subspace enumeration of length 3 over a size-2 field: "
+                   "would need 16 > cap 5\n")
 
 
 @pytest.mark.parametrize("doc", [5, None, {"q": 2}], ids=["int", "null", "object"])
@@ -371,12 +401,60 @@ def test_search_refuses_a_dimension_target_past_the_cap_after_stage_one(capsys):
     assert time.perf_counter() - start < 20
 
 
+def test_search_refuses_a_candidate_past_the_cap_within_a_stage(capsys):
+    """A stage-2 candidate of dimension 5 needs 2^5 codewords, more than the
+    cap; stage 1 (dimensions up to 4) fits it."""
+    code, out, err = run(capsys, "--cap-codewords", "16", "search", "--q", "2",
+                         "--group", "3,3", "--index", "2", "--dmin", "4")
+    assert (code, out) == (3, "")
+    assert err == ("error: search stage 2: codeword enumeration for [18,5]: "
+                   "would need 32 > cap 16\n")
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 def test_search_rejects_nonpositive_dimension_target(capsys, dim):
     code, out, err = run(capsys, "--no-banner", "search", "--q", "2", "--group", "3,3",
                          "--index", "2", "--dmin", "8", "--dim", dim)
     assert code == 2 and "dimension target must be positive" in err
     assert out == ""
+
+
+# one command line for each integer option, its value left as {}
+_INTEGER_OPTIONS = [
+    ["--cap-codewords", "{}", "classes", "--q", "2", "--group", "3"],
+    ["--cap-subspaces", "{}", "classes", "--q", "2", "--group", "3"],
+    ["classes", "--q", "{}", "--group", "3"],
+    ["decompose", "--q", "{}", "--group", "3"],
+    ["search", "--q", "{}", "--group", "3,3", "--index", "2", "--dmin", "8"],
+    ["search", "--q", "2", "--group", "3,3", "--index", "{}", "--dmin", "8"],
+    ["search", "--q", "2", "--group", "3,3", "--index", "2", "--dmin", "{}"],
+    ["search", "--q", "2", "--group", "3,3", "--index", "2", "--dmin", "8", "--dim", "{}"],
+    ["family", "--q", "{}", "--p", "3"],
+    ["family", "--q", "2", "--p", "{}"],
+    ["family", "--q", "2", "--p", "3", "--max-outer-length", "{}"],
+    ["verify-paper", "--seed", "{}"],
+]
+
+
+@pytest.mark.parametrize("text", [" 2", "2 ", "+2", "0_2", "\u0662"])
+def test_integer_options_take_only_ascii_digits(capsys, text):
+    """Every integer option reads an optional '-' and ASCII digits, and
+    refuses anything else through argparse rather than normalising it."""
+    for argv in _INTEGER_OPTIONS:
+        argv = [text if a == "{}" else a for a in argv]
+        code, out, err = _run_catching_usage_errors(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f": invalid integer value: {text!r}\n"), argv
+
+
+@pytest.mark.parametrize("group", ["1_5", " 3,3", "+3,3", "\u0663,3", "3, 3", "3,3 "])
+def test_group_orders_take_only_ascii_digits(capsys, group):
+    """The orders of --group follow the integer options' rule, with one
+    error line that names the group and the order refused."""
+    code, out, err = run(capsys, "classes", "--q", "2", "--group", group)
+    assert (code, out) == (2, "")
+    bad = next(t for t in group.split(",") if not (t.isascii() and t.isdigit()))
+    assert err == f"error: bad group {group!r}: invalid literal for int() with base 10: {bad!r}\n"
 
 
 def test_class_member_outside_the_group_exits_2(capsys, tmp_path):

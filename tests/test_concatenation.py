@@ -1,12 +1,15 @@
 """Quasi-abelian construction, constituent extraction, generic concatenation,
 and the distance bound."""
 
+import inspect
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qacodes import concatenation, reference
 from qacodes.algebra import AbelianGroup, GroupAlgebraElement
 from qacodes.concatenation import (GCCScheme, QACode, block_idempotent, constituents_of,
                                    distance_bound, gcc_build, gcc_scheme_from_qa,
@@ -360,25 +363,53 @@ def test_predict_params_examples():
     idx = [dec.class_index(t) for t in [(1, 0), (0, 1), (1, 1), (1, 2)]]
     prefix = [dec.ideal_sum_code(idx[:v + 1]).min_distance() for v in range(4)]
     assert prefix[0] == 10 and prefix[3] == 4
-    got = predict_params(25, [4] * 4, prefix, [CodeParams(256, 201, 12)] * 4, [4] * 4)
+    got = predict_params(25, [4] * 4, prefix, [CodeParams(256, 201, 12)] * 4)
     assert (got.length, got.dim, got.distance_lower_bound) == (6400, 3216, 48)
 
     dec3 = decompose_algebra(G55, 3)
     idx3 = [dec3.class_index(t) for t in [(1, 0), (1, 1), (0, 1), (1, 2)]]
-    prefix3 = [dec3.ideal_sum_code(idx3[:v + 1]).min_distance() for v in range(3)] + [4]
-    got = predict_params(25, [4] * 4, prefix3, [CodeParams(6561, 5076, 55)] * 4, [4] * 4)
+    prefix3 = [dec3.ideal_sum_code(idx3[:v + 1]).min_distance() for v in range(3)] \
+        + [dec3.ideal_sum_code(idx3).min_distance(3 ** 16)]
+    got = predict_params(25, [4] * 4, prefix3, [CodeParams(6561, 5076, 55)] * 4)
     assert (got.length, got.dim, got.distance_lower_bound) == (164025, 81216, 220)
 
-    simple = predict_params(9, [2], [6], [CodeParams(3, 1, 3)], [2])
+    simple = predict_params(9, [2], [6], [CodeParams(3, 1, 3)])
     assert (simple.length, simple.dim, simple.distance_lower_bound) == (27, 2, 18)
 
-    with pytest.raises(ValueError, match="field degree"):
-        predict_params(9, [2], [6], [CodeParams(3, 1, 3)], [3])
     with pytest.raises(ValueError, match="ascending"):
         predict_params(9, [2, 2], [6, 4],
-                       [CodeParams(3, 1, 3), CodeParams(3, 1, 2)], [2, 2])
+                       [CodeParams(3, 1, 3), CodeParams(3, 1, 2)])
     with pytest.raises(ValueError, match="distance"):
-        predict_params(9, [2], [6], [CodeParams(3, 1)], [2])
+        predict_params(9, [2], [6], [CodeParams(3, 1)])
+
+
+def test_the_bound_and_its_distances_exist_once(monkeypatch):
+    """`predict_params` takes no field degrees and goes through
+    `concatenation_bound`; the reference predictions compute every inner
+    distance; and a decomposition keeps each ideal sum, its code and its
+    distance, in one store."""
+    assert list(inspect.signature(predict_params).parameters) == [
+        "inner_length", "inner_dims", "inner_prefix_distances", "outer_params"]
+    calls = []
+    bound = concatenation.concatenation_bound
+    monkeypatch.setattr(concatenation, "concatenation_bound",
+                        lambda *args: calls.append(args) or bound(*args))
+    got = reference.predict_large_example(3, CodeParams(6561, 5076, 55))
+    assert (got.length, got.dim, got.distance_lower_bound) == (164025, 81216, 220)
+    assert len(calls) == 1
+    assert list(inspect.signature(reference.predict_large_example).parameters) == [
+        "q", "outer"]
+    assert "full_sum_distance" not in Path(reference.__file__).read_text(encoding="utf-8")
+
+    dec = SemisimpleDecomposition(G55, 3)
+    code = dec.minimal_ideal_code(1)
+    weighed = []
+    min_distance = LinearCode.min_distance
+    monkeypatch.setattr(LinearCode, "min_distance",
+                        lambda self, *args: weighed.append(self) or min_distance(self, *args))
+    assert dec.ideal_sum_distance([1]) == dec.ideal_sum_distance([1]) == 10
+    assert len(weighed) == 1 and weighed[0] is code is dec.minimal_ideal_code(1)
+    assert not hasattr(dec, "_ideal_codes")
 
 
 @pytest.mark.parametrize("q,orders,ell", [

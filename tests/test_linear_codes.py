@@ -188,6 +188,7 @@ NAIVE_CASES = [
     (2, 4, 2, 8, 3, 1),    # F_4 inside F_16 over F_2
     (2, 11, 1, 12, 6, 1),  # F_2 inside F_2048, which has no pair tables
     (2, 11, 11, 6, 1, 2),  # all of F_2048: 11 bits per coordinate
+    (3, 1, 1, 50, 5, 3), (2, 1, 1, 130, 8, 3),  # three words: 21 and 64 coordinates each
 ]
 
 
