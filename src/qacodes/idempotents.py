@@ -13,6 +13,7 @@ construction failures instead of silently wrong codes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -241,16 +242,24 @@ class SemisimpleDecomposition:
 
     # -- ideals as codes -------------------------------------------------------
 
+    def _class_indices(self, indices) -> list[int]:
+        """The class indices as ints, each checked to lie in [0, class_count)."""
+        out = [operator.index(i) for i in indices]
+        for i in out:
+            if not 0 <= i < self.class_count:
+                raise ValueError(f"class index {i} lies outside [0, {self.class_count})")
+        return out
+
     def minimal_ideal_code(self, i: int) -> LinearCode:
         """The i-th minimal ideal as a base-field linear code of length |H|."""
-        key = frozenset((i,))
+        key = frozenset(self._class_indices([i]))
         if key not in self._sum_distances:
             self._sum_distances[key] = (self.ideal_sum_code([i]), None)
         return self._sum_distances[key][0]
 
     def ideal_sum_code(self, indices) -> LinearCode:
         """Direct sum of several minimal ideals as one base-field code."""
-        rows = np.vstack([self._psi_matrix[i] for i in indices])
+        rows = np.vstack([self._psi_matrix[i] for i in self._class_indices(indices)])
         return LinearCode(self.spec.subfield(1), self.group.size, rows)
 
     def ideal_sum_distance(self, indices, cap: int = DEFAULT_CODEWORD_CAP) -> int:
@@ -259,7 +268,7 @@ class SemisimpleDecomposition:
         kept.  It depends on the decomposition alone, so every bound and
         prediction over it reads the same value; the codeword cap is still
         checked on every call, with the message of `min_distance`."""
-        key = frozenset(indices)
+        key = frozenset(self._class_indices(indices))
         code, d = self._sum_distances.get(key) or (self.ideal_sum_code(sorted(key)), None)
         if d is None:
             d = code.min_distance(cap)

@@ -12,20 +12,25 @@ by a cap.  So is the minimum distance of a code whose codewords fit in one
 block; a larger code gets its exact distance from information sets
 (Brouwer–Zimmermann), which weigh the words of low-weight messages only and
 never more words than enumeration would.
-`WordLayout` is the one weigher, and a span lists the nonzero words of a
-space: `span` packs every nonzero combination of some rows, and
-`distributions` sums, for each of many candidates, one span from each of
-several stacks, so it counts the prod(Q^k_i - 1) sums in which every
-summand is nonzero, in blocks of at most 2^16 codewords.  It weighs one
-sum of each projective point, prod(Q^k_i - 1)/(Q - 1) words: those whose
-first summand has leading coefficient 1 (`span` lists these words first),
-each counted Q - 1 times.  That is exact, since a nonzero scalar maps the
-sums onto themselves and keeps every weight; a weight-0 sum, a
-dependency, is still refused, since its multiples all weigh 0 and one of
-them is weighed.  A direct sum's codewords are the zero word and these
-sums for each nonempty set of its summands: a code is weighed as the sums
-of its first generator rows, of its last rows and of both, and the search
-weighs its direct sums the same way.
+`WordLayout` is the one weigher.  It holds packed codewords word-major: a
+list of S codewords of w packed words each has shape (..., w, S), so numpy
+runs along the codewords, never along the few words of one codeword.  A
+span lists the nonzero words of a space: `span` packs every nonzero
+combination of some rows, and `distributions` sums, for each of many
+candidates, one span from each of several stacks, so it counts the
+prod(Q^k_i - 1) sums in which every summand is nonzero, in blocks of at
+most 2^16 codewords.  It weighs one sum of each projective point,
+prod(Q^k_i - 1)/(Q - 1) words: those whose first summand has leading
+coefficient 1 (`span` lists these words first), each counted Q - 1 times.
+That is exact, since a nonzero scalar maps the sums onto themselves and
+keeps every weight; a weight-0 sum, a dependency, is still refused, since
+its multiples all weigh 0 and one of them is weighed.  The last addition
+of each sum is not carried out: the weight of f + r is the number of
+coordinates where r differs from -f, so the weigher counts those of
+-f XOR r.  A direct sum's codewords are the zero word and these sums for
+each nonempty set of its summands: a code is weighed as the sums of its
+first generator rows, of its last rows and of both, and the search weighs
+its direct sums the same way.
 """
 
 from __future__ import annotations
@@ -148,7 +153,10 @@ def rank(field: Subfield, matrix) -> int | np.ndarray:
 # packed codewords
 
 class WordLayout:
-    """Codewords of one length over one field as rows of uint64 words.
+    """Codewords of one length over one field as packed uint64 words, held
+    word-major: a list of S codewords has shape (..., words, S), so the
+    j-th words of all its codewords are contiguous and every numpy op runs
+    along the codewords.
 
     A coordinate takes g = d*w bits: its d base-p digits (the digit places
     the field's element codes use), w bits each, where w = 1 when p = 2 and
@@ -156,8 +164,10 @@ class WordLayout:
     carries into the next digit.  A word holds 64 // g whole coordinates.
     Field addition is XOR when p = 2 and otherwise a digit-wise add that
     subtracts p from every digit that reached it, done on all digits of a
-    word at once (SWAR).  A weight ORs the bits of each coordinate onto its
-    low bit and counts the low bits.
+    word at once (SWAR).  A weight flags each nonzero digit in its top bit
+    (the digit's one bit when p = 2), ORs the flags of a coordinate onto
+    its first digit's and counts them.  The weight of a sum a + b is that
+    of a XOR -b, as a coordinate of a + b is zero iff a and -b agree there.
     """
 
     def __init__(self, field: Subfield, length: int):
@@ -177,98 +187,113 @@ class WordLayout:
         self.shifts = (np.arange(per_word) * g).astype(np.uint64)
         low = ((1 << (g * per_word)) - 1) // ((1 << g) - 1)  # bit 0 of each coordinate
         ones = low * (((1 << g) - 1) // ((1 << w) - 1))  # bit 0 of each digit
-        self.low = np.uint64(low)
         self.ones = np.uint64(ones)
         self.offset = np.uint64((2 ** (w - 1) - p) * ones) if p > 2 else None
+        self.full = np.uint64(p * ones) if p > 2 else None  # p in every digit
         self.top = np.uint64(w - 1)
-        # shifts that OR bits i..i+g-1 onto bit i
+        # a digit of a word, or of the XOR of two words, is below 2^(w-1), so
+        # adding 2^(w-1) - 1 (p > 2) sets its top bit iff it is nonzero and
+        # never carries; `tops` keeps those bits
+        self.fill = np.uint64((2 ** (w - 1) - 1) * ones) if p > 2 else None
+        self.tops = np.uint64(ones << (w - 1))
+        # shifts that OR the top bits of a coordinate's d digits onto the
+        # first one's, which `flags` keeps
+        self.flags = np.uint64(low << (w - 1))
+        d = len(used)
         self.folds = []
         covered = 1
-        while 2 * covered <= g:
-            self.folds.append(covered)
+        while 2 * covered <= d:
+            self.folds.append(np.uint64(covered * w))
             covered *= 2
-        if covered < g:
-            self.folds.append(g - covered)
+        if covered < d:
+            self.folds.append(np.uint64((d - covered) * w))
 
     def pack(self, codes: np.ndarray) -> np.ndarray:
-        """Packed words of rows of element codes (last axis: the coordinates):
-        each code's `bits`, shifted to its coordinate's place in a word."""
+        """Packed words of rows of element codes (last two axes: the rows
+        and their coordinates) as a word list: codes of shape (..., S, n)
+        give words of shape (..., words, S), each code's `bits` shifted to
+        its coordinate's place in a word."""
         per_word = len(self.shifts)
         lead = codes.shape[:-1]
         padded = np.zeros(lead + (self.words * per_word,), dtype=np.uint64)
         padded[..., :codes.shape[-1]] = self.bits[codes]
-        return (padded.reshape(lead + (self.words, per_word)) << self.shifts).sum(
+        # summed along the coordinates of a word, then laid out word-major
+        packed = (padded.reshape(lead + (self.words, per_word)) << self.shifts).sum(
             axis=-1, dtype=np.uint64)
+        return np.ascontiguousarray(np.swapaxes(packed, -1, -2))
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field sum of packed words, broadcast; a new array."""
-        op = np.bitwise_xor if self.p == 2 else np.add
-        if self.words == 1:
-            s = op(a, b)
-        else:
-            # word by word: numpy broadcasts slowly over a short last axis
-            s = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
-            for j in range(self.words):
-                op(a[..., j], b[..., j], out=s[..., j])
-        if self.p == 2:
-            return s
-        ge = s + self.offset  # bit w-1 of a digit is set iff its sum is >= p
+    def _reduce(self, s: np.ndarray) -> np.ndarray:
+        """`s` with p subtracted from every digit that is p or more (each is
+        below 2p), in place."""
+        ge = s + self.offset  # bit w-1 of a digit is set iff it is >= p
         ge >>= self.top
         ge &= self.ones
         ge *= np.uint64(self.p)
         s -= ge
         return s
 
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Field sum of packed words, broadcast; a new array."""
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        return self._reduce(np.add(a, b))
+
+    def negate(self, a: np.ndarray) -> np.ndarray:
+        """Field negation of packed words: `a` itself when p = 2, otherwise
+        a new array (p minus each digit, then p taken off where that is p)."""
+        if self.p == 2:
+            return a
+        return self._reduce(self.full - a)
+
     def weights(self, words: np.ndarray) -> np.ndarray:
-        """Hamming weights of packed codewords (last axis: the words of one
-        codeword), as int64; overwrites `words` and may return a view of it."""
-        for shift in self.folds:
-            words |= words >> np.uint64(shift)
+        """Hamming weights of packed codewords (..., words, S), as int64 of
+        shape (..., S); overwrites `words` and may return a view of it."""
+        if self.fill is not None:
+            words += self.fill
+            words &= self.tops
         if self.folds:
-            words &= self.low
+            shifted = np.empty_like(words)
+            for shift in self.folds:
+                np.right_shift(words, shift, out=shifted)
+                words |= shifted
+            words &= self.flags
         np.bitwise_count(words, out=words)
-        out = words[..., 0]  # contiguous when a codeword is one word
-        if words.shape[-1] > 1:
-            # word by word: numpy reduces a short last axis slowly
-            out = out + words[..., 1]
-            for j in range(2, words.shape[-1]):
-                out += words[..., j]
+        out = words[..., 0, :] if words.shape[-2] == 1 else words.sum(axis=-2)
         return out.view(np.int64)
 
     def sum_span(self, spans) -> np.ndarray:
         """Every sum of one word from each of the word lists `spans`; the
         first list varies slowest.  Leading axes broadcast: a stack of lists
         gives a stack of sums."""
-        # built from the last summand back, so the long axis is innermost
         out = spans[-1]
         for s in spans[-2::-1]:
-            out = self.add(s[..., :, None, :], out[..., None, :, :])
-            out = out.reshape(out.shape[:-3] + (-1, self.words))
+            out = self.add(s[..., :, None], out[..., None, :])
+            out = out.reshape(out.shape[:-2] + (-1,))
         return out
 
     def span(self, rows) -> np.ndarray:
         """Every nonzero combination of `rows` (element codes, last two axes)
         over the layout's field, packed: the nonzero words of their row
-        space if the rows are independent.  The (Q^r - 1)/(Q - 1)
-        combinations of r rows whose leading (first nonzero) coefficient
-        is 1 come first, one for each projective point, and their other
-        nonzero multiples follow, so that `distributions` can take
-        the first ones as a prefix (for Q = 2 the prefix is the whole span).
-        No rows give an empty span."""
+        space if the rows are independent, as a word list (..., words,
+        Q^r - 1).  The (Q^r - 1)/(Q - 1) combinations of r rows whose
+        leading (first nonzero) coefficient is 1 come first, one for each
+        projective point, and their other nonzero multiples follow, so that
+        `distributions` can take the first ones as a prefix (for Q = 2 the
+        prefix is the whole span).  No rows give an empty span."""
         rows = np.asarray(rows, dtype=np.int32)
         if rows.ndim < 2 or not rows.shape[-2]:
-            return np.zeros(rows.shape[:-2] + (0, self.words), dtype=np.uint64)
+            return np.zeros(rows.shape[:-2] + (self.words, 0), dtype=np.uint64)
         # the multiples of each row, coefficient 1 first and 0 second (the
-        # codes are sorted): lines[..., r, c] = c-th coefficient * row r
+        # codes are sorted): lines[..., r, :, c] = c-th coefficient * row r
         coefficients = self.field.elements[[1, 0, *range(2, self.field.size)]]
         lines = self.pack(self.field.spec.vmul(coefficients[:, None], rows[..., :, None, :]))
         # with the first row varying slowest, the combinations whose leading
         # coefficient is 1 come first and the all-zero one right after them
         full = self.sum_span([lines[..., r, :, :] for r in range(rows.shape[-2])])
         if self.field.size == 2:  # the all-zero combination comes last
-            return full[..., :-1, :]
-        zero = (full.shape[-2] - 1) // (self.field.size - 1)
-        return np.concatenate((full[..., :zero, :], full[..., zero + 1:, :]), axis=-2)
+            return full[..., :-1]
+        zero = (full.shape[-1] - 1) // (self.field.size - 1)
+        return np.concatenate((full[..., :zero], full[..., zero + 1:]), axis=-1)
 
     @property
     def batch(self) -> int:
@@ -277,8 +302,9 @@ class WordLayout:
 
     def distributions(self, stacks, rows) -> np.ndarray:
         """Weight distributions of the sums of stacks[t][rows[c, t]] over t,
-        one row per candidate c: `stacks` holds spans, one stack per summand,
-        and every candidate draws one span from each.
+        one row per candidate c: `stacks` holds word lists, one stack
+        (m_t, words, S_t) of spans per summand, and every candidate draws
+        one span from each.
 
         A span lists nonzero words, so these are the sums in which every
         summand is nonzero, prod(Q^k_t - 1) of them for summands of
@@ -288,20 +314,24 @@ class WordLayout:
         That is exact: a nonzero scalar maps the all-nonzero sums onto
         themselves and keeps every weight, and exactly one of the Q - 1
         multiples of a sum has a first summand with leading coefficient 1.
+        The last addition is fused into the weighing: the weight of f + r,
+        for f the first summands and r the others, is that of -f XOR r.
         The sums are streamed in blocks of at most `_BLOCK_CODEWORDS`
-        codewords, read at each call; the spans of a block are gathered for
-        it alone.  None of them may have weight 0: one that does is a
-        dependency among the generators of its summands (a span holding the
-        zero word, or spans that meet).  The multiples of a weight-0 sum
-        weigh 0 too, and one of them is summed, so none escapes.
+        codewords, read at each call, through one block buffer of fused
+        sums that the call allocates once and lets go at its end; the spans
+        of a block are gathered for it alone.  None of the sums may have weight
+        0: one that does is a dependency among the generators of its
+        summands (a span holding the zero word, or spans that meet).  The
+        multiples of a weight-0 sum weigh 0 too, and one of them is summed,
+        so none escapes.
         """
         n1 = self.length + 1
         Q = self.field.size
         if Q > 2:  # one sum for each projective point
-            stacks = [stacks[0][:, :stacks[0].shape[1] // (Q - 1)], *stacks[1:]]
+            stacks = [stacks[0][..., :stacks[0].shape[-1] // (Q - 1)], *stacks[1:]]
         rows = np.asarray(rows, dtype=np.intp).reshape(-1, len(stacks))
         m = len(rows)
-        sizes = [s.shape[1] for s in stacks]
+        sizes = [s.shape[-1] for s in stacks]
         block = _BLOCK_CODEWORDS
         out = np.zeros((m, n1), dtype=np.int64)
         # the trailing summands from `inner` on fit in one block together
@@ -310,35 +340,77 @@ class WordLayout:
             inner -= 1
             size *= sizes[inner]
         step = block // max(size, 1)  # an empty span makes size 0
+        words = self.words
+        # the block buffer of the fused sums, for the most one block holds
+        fused_buffer = None
+        if len(stacks) > max(inner, 1):  # some block has a last addition
+            fused_buffer = np.empty(words * size * (step if inner else min(m, step)),
+                                    dtype=np.uint64)
+
+        def fuse(first, rest):
+            """The sums first[:, a] + rest[:, b] of word lists (words, A, k)
+            and (words, B, k) of k candidates each, candidates last, as
+            -first XOR rest in the block buffer: (words, A * B * k)."""
+            a, b, k = first.shape[1], rest.shape[1], first.shape[2]
+            fused = fused_buffer[:words * a * b * k]
+            np.bitwise_xor(self.negate(first)[:, :, None], rest[:, None],
+                           out=fused.reshape(words, a, b, k))
+            return fused.reshape(words, -1)
+
+        def gather(stack, r):
+            """The spans stack[r] as a new (words, S, k) array: the k
+            candidates last, so that numpy's inner loops run along them.
+            One candidate's span is copied as it lies: `take` along the
+            last axis copies it one word at a time."""
+            if len(r) == 1:
+                return stack[r[0], :, :, None].copy()
+            return np.take(stack.transpose(1, 2, 0), r, axis=-1)
+
+        def total(terms):
+            """The sums of one word from each of `terms`, word lists
+            (words, S_t, k) of k candidates each, the first varying slowest."""
+            out = terms[-1]
+            for t in terms[-2::-1]:
+                out = self.add(t[:, :, None], out[:, None]).reshape(words, -1, t.shape[2])
+            return out
+
+        def count(fused, k):
+            """The weight distributions of word lists (words, S * k) whose
+            last axis runs over k candidates; overwrites them."""
+            w = self.weights(fused).reshape(-1, k)
+            if k > 1:  # bincount keys: weight + (n + 1) * candidate
+                w += n1 * np.arange(k)
+            return np.bincount(w.ravel(), minlength=k * n1).reshape(k, n1)
+
         if not inner:  # whole candidates, `step` to a block
+            # the last addition joins the sums of the summands before and
+            # from `split`, which together hold the fewest words
+            split = min(range(1, len(stacks)), default=None,
+                        key=lambda t: math.prod(sizes[:t]) + math.prod(sizes[t:]))
             for j in range(0, m, step):
                 part = rows[j:j + step]
                 k = len(part)
-                # the candidates on the second axis, so that numpy's inner
-                # loops run along them
-                terms = [np.ascontiguousarray(s[r].transpose(1, 0, 2))
-                         for s, r in zip(stacks, part.T)]
-                sums = terms[-1]
-                for t in terms[-2::-1]:
-                    sums = self.add(t[:, None], sums[None]).reshape(-1, k, self.words)
-                del terms
-                w = self.weights(sums)  # a view of the sums
-                if k > 1:  # bincount keys: weight + (n + 1) * candidate
-                    w += n1 * np.arange(k)
-                out[j:j + k] = np.bincount(w.ravel(), minlength=k * n1).reshape(k, n1)
-                del sums, w  # freed before the next block
+                terms = [gather(s, r) for s, r in zip(stacks, part.T)]
+                if len(terms) == 1:
+                    fused = terms[0].reshape(words, -1)
+                else:
+                    fused = fuse(total(terms[:split]), total(terms[split:]))
+                del terms  # freed before the block is weighed
+                out[j:j + k] = count(fused, k)
         else:  # one candidate in several blocks, `step` spans of summand h in each
             h = inner - 1
             for c, r in enumerate(rows):
+                # the sums of the trailing summands, formed once per candidate
                 tails = [s[i] for s, i in zip(stacks[inner:], r[inner:])]
+                tail = self.sum_span(tails)[..., None] if tails else None
                 for head in itertools.product(*map(range, sizes[:h])):
-                    lead = np.zeros(self.words, dtype=np.uint64)
+                    lead = np.zeros((words, 1), dtype=np.uint64)
                     for s, i, k in zip(stacks, r, head):
-                        lead = self.add(lead, s[i, k])
+                        lead = self.add(lead, s[i, :, k:k + 1])
                     for a in range(0, sizes[h], step):
-                        part = self.add(lead, stacks[h][r[h], a:a + step])
-                        w = self.weights(self.sum_span([part] + tails))
-                        out[c] += np.bincount(w.ravel(), minlength=n1)
+                        part = self.add(lead, stacks[h][r[h], :, a:a + step])
+                        fused = part if tail is None else fuse(part[..., None], tail)
+                        out[c] += count(fused, 1)[0]
         if np.count_nonzero(out[:, 0]):
             raise InvariantError("direct sum generators are not independent")
         if Q > 2:
@@ -489,11 +561,11 @@ class LinearCode:
         k, Q = self.dim, self.field.size
         layout = word_layout(self.field, self.length)
         sets = self._information_sets()
-        # multiples[j][r, s]: row r of set j times the s-th nonzero element
-        # (the codes are sorted, so 1 comes first), packed
+        # multiples[j][:, r * (Q - 1) + s]: row r of set j times the s-th
+        # nonzero element (the codes are sorted, so 1 comes first), packed
         scalars = self.field.elements[1:, None]
-        multiples = [layout.pack(self.field.spec.vmul(scalars, G[:, None, :]))
-                     for G, _ in sets]
+        multiples = [layout.pack(self.field.spec.vmul(scalars, G[:, None, :]).reshape(
+            -1, self.length)) for G, _ in sets]
         # binom[t][c] = C(c, t), to unrank t-subsets of the rows in colex order
         binom = [np.array([math.comb(c, t) for c in range(k)], dtype=np.int64)
                  for t in range(k + 1)]
@@ -513,10 +585,10 @@ class LinearCode:
                         r = np.searchsorted(binom[t], subset, side="right") - 1
                         subset -= binom[t][r]
                         if t == w:
-                            total = rows[r, 0]
+                            total = rows[:, r * (Q - 1)]
                         else:
                             scale, s = np.divmod(scale, Q - 1)
-                            total = layout.add(total, rows[r, s])
+                            total = layout.add(total, rows[:, r * (Q - 1) + s])
                     best = min(best, int(layout.weights(total).min()))
             if sum(max(0, w + 1 - (k - len(new))) for _, new in sets) >= best:
                 return best

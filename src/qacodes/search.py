@@ -9,9 +9,10 @@ minimal ideal and keeps, under an integer id, the combinations whose exact
 minimum distance reaches the target.  The census of outer codes is built
 once per class size, one stack of generator matrices per dimension
 (`census_stacks`); the stack of one class and one dimension is flattened,
-spanned (`WordLayout.span`, one row of packed words per nonzero codeword)
-and weighed together, only its survivors become `LinearCode`s, and the span
-of each survivor is stored once.  Stage s + 1 extends the surviving id
+spanned (`WordLayout.span`: a word list, word-major, with one column of
+packed words per nonzero codeword) and weighed together, only its
+survivors become `LinearCode`s, and the span of each survivor is stored
+once, in the same layout.  Stage s + 1 extends the surviving id
 tuples of stage s by one id of a later class, level-synchronously: level s
 holds its tuples as the rows of an array, each with the rows of its s faces
 (the tuple less one id) in level s - 1 and a key (last face, last id),
@@ -174,7 +175,7 @@ def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, census: list,
         _check_cap(spec, 1, n, dim)
         spans = layout.span(dec.flatten(i, stack))
         counts["weighed"] += len(stack)
-        counts["words"] += spans.shape[0] * (spans.shape[1] // (spec.q - 1))
+        counts["words"] += spans.shape[0] * (spans.shape[-1] // (spec.q - 1))
         wds = layout.distributions([spans], np.arange(len(stack)))
         for j in np.flatnonzero(~wds[:, 1:spec.d_min].any(axis=1)).tolist():
             yield LinearCode(field, spec.index, stack[j], _canonical=True), spans[j], wds[j]
@@ -380,7 +381,7 @@ def search(spec: SearchSpec) -> SearchResult:
         survived, found = [], []
         for members, signature in zip(np.split(order, starts[1:]), signatures[starts].tolist()):
             summands = [stacks[k] for k in signature]
-            counts["words"] += (len(members) * math.prod(s.shape[1] for s in summands)
+            counts["words"] += (len(members) * math.prod(s.shape[-1] for s in summands)
                                 // (spec.q - 1))
             wd = layout.distributions(summands, slot[tuples[members]])
             good = ~wd[:, 1:d_min].any(axis=1)

@@ -144,6 +144,25 @@ def test_handlers_do_not_print():
     assert writers == []
 
 
+def test_package_imports_only_declared_dependencies():
+    """Every import in the package is from the standard library, numpy (its
+    one declared dependency) or the package itself, so that a clean install
+    runs it; other packages may be installed where the tests run."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qacodes"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []
+
+
 @pytest.mark.parametrize("q,group,degrees", [("257", "2", "1 1"), ("2", "47", "1 23 23")],
                          ids=["q257", "q2-C47"])
 def test_classes_past_byte_sized_digits(capsys, q, group, degrees):

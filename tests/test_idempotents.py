@@ -216,6 +216,24 @@ def test_ideal_sum_code_dimensions():
     assert dec.ideal_sum_code(idx).min_distance() == 4
 
 
+def test_ideal_sum_store_checks_class_indices():
+    """Every reader of the ideal-sum store refuses a class index outside
+    [0, class_count) with ValueError and stores nothing under it; a valid
+    index reads the same code through each of them."""
+    dec = decompose_algebra(G33, 2)
+    last = dec.class_count - 1
+    for bad in (-1, dec.class_count):
+        for read in (lambda: dec.minimal_ideal_code(bad),
+                     lambda: dec.ideal_sum_code([0, bad]),
+                     lambda: dec.ideal_sum_distance([bad])):
+            with pytest.raises(ValueError, match=f"class index {bad} lies outside"):
+                read()
+    assert all(0 <= i <= last for key in dec._sum_distances for i in key)
+    code = dec.minimal_ideal_code(last)
+    assert code == dec.ideal_sum_code([last])
+    assert dec.ideal_sum_distance([last]) == code.min_distance()
+
+
 def test_psi_matrix_rows_span_the_ideal():
     dec = decompose_algebra(G33, 2)
     for i in range(dec.class_count):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,29 @@ def test_information_sets_of_the_ternary_ideal_sum():
     assert code.min_distance() == code._information_set_distance(math.inf) == 6
 
 
+# the tracemalloc peak of the ternary [25,12] weight distribution before its
+# spans were held word-major (3,310,468 bytes); the word-major weigher needs
+# less, and a span copied to change its orientation would need more
+TERNARY_25_12_PEAK = 3_310_468
+
+
+def test_weight_distribution_peak_memory():
+    """The traced peak of a large weight distribution stays at or below the
+    peak of the row-major weigher, so no span is copied to turn it."""
+    dec = qacodes.decompose_algebra(AbelianGroup((5, 5)), 3)
+    code = dec.ideal_sum_code([dec.class_index(t) for t in ((1, 0), (0, 1), (1, 1))])
+    assert (code.length, code.dim) == (25, 12)
+    want = code.weight_distribution()  # built once: the layout and its tables
+    tracemalloc.start()
+    try:
+        got = code.weight_distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= TERNARY_25_12_PEAK
+
+
 def test_information_sets_are_kept_with_the_code(monkeypatch):
     """A second min_distance call reuses the code's information sets: it
     runs no rref."""
@@ -365,16 +389,16 @@ def test_span_lists_the_nonzero_words(q, tower, degree):
         codes = [c for c in codes if c.dim == r][:3]
         for code in codes:
             span = layout.span(code.gens)
-            assert span.shape == (Q ** r - 1, layout.words)
-            assert span.any(axis=1).all()
+            assert span.shape == (layout.words, Q ** r - 1)
+            assert span.any(axis=0).all()
             messages = np.array(list(itertools.product(field.elements.tolist(), repeat=r)))
             words = layout.pack(field.spec.vdot(messages[1:], code.gens))
-            assert sorted(map(tuple, span.tolist())) == sorted(map(tuple, words.tolist()))
-            assert len(set(map(tuple, span.tolist()))) == Q ** r - 1
+            assert sorted(map(tuple, span.T.tolist())) == sorted(map(tuple, words.T.tolist()))
+            assert len(set(map(tuple, span.T.tolist()))) == Q ** r - 1
         rows = np.stack([rng.permutation(c.gens) for c in codes])
         assert np.array_equal(layout.span(rows), np.stack([layout.span(g) for g in rows]))
-    assert layout.span(np.zeros((0, n), dtype=np.int32)).shape == (0, layout.words)
-    assert layout.span(np.zeros((3, 0, n), dtype=np.int32)).shape == (3, 0, layout.words)
+    assert layout.span(np.zeros((0, n), dtype=np.int32)).shape == (layout.words, 0)
+    assert layout.span(np.zeros((3, 0, n), dtype=np.int32)).shape == (3, layout.words, 0)
 
 
 @pytest.mark.parametrize("q,tower,degree", [(3, 1, 1), (4, 1, 1), (5, 1, 1), (7, 1, 1),
@@ -431,8 +455,8 @@ def test_distributions_weigh_one_word_per_projective_point(q, tower, degree):
             # the span's prefix: its combinations with leading coefficient 1
             span = layout.span(summands[0])
             prefix = [w for lead, w in combinations(summands[0]) if lead == one]
-            assert sorted(map(tuple, span[:len(span) // (Q - 1)].tolist())) == \
-                sorted(map(tuple, layout.pack(np.array(prefix)).tolist()))
+            assert sorted(map(tuple, span[:, :span.shape[1] // (Q - 1)].T.tolist())) == \
+                sorted(map(tuple, layout.pack(np.array(prefix)).T.tolist()))
 
 
 def test_distributions_reject_dependent_spans():
@@ -451,7 +475,7 @@ def test_distributions_reject_dependent_spans():
     # dependent rows span the zero word
     with pytest.raises(InvariantError):
         binary.distributions([binary.span(rows2 + [[1, 1, 0]])[None]], [0])
-    with_zero = np.vstack([np.zeros((1, 1), dtype=np.uint64), binary.span(rows2)])
+    with_zero = np.hstack([np.zeros((1, 1), dtype=np.uint64), binary.span(rows2)])
     with pytest.raises(InvariantError):
         binary.distributions([with_zero[None]], [0])
     # over F_4 = {0, 1, a, a^2} the first summand's prefix is weighed alone:
@@ -475,6 +499,84 @@ def test_distributions_reject_dependent_spans():
     assert got.tolist() == LinearCode(F3, 5, rows).weight_distribution().tolist()
 
 
+# (q, tower, n) of the fused-sum tests: every codeword takes two packed words
+FUSED_CASES = pytest.mark.parametrize("q,tower,n", [(3, 1, 23), (5, 1, 17), (9, 1, 11),
+                                                    (4, 2, 25)],
+                                      ids=["F3", "F5", "F9", "F4-in-F16"])
+
+
+@FUSED_CASES
+def test_fused_last_sum_matches_naive_enumeration(monkeypatch, q, tower, n):
+    """The weigher, which weighs the last addition of each sum as -first XOR
+    rest, counts what naive enumeration counts: vdot of every message whose
+    part on each summand is nonzero, then Hamming weights.  Candidates of
+    2 and 3 summands, in one block, in several blocks with one tail span
+    and a lead word, and in several blocks with two tail spans."""
+    field = _field(q, tower)
+    spec, Q = field.spec, field.size
+    layout = linear_codes.word_layout(field, n)
+    assert layout.words == 2
+    rng = np.random.default_rng(Q * n)
+
+    def naive(summands):
+        nonzero = [np.array(list(itertools.product(field.elements.tolist(),
+                                                   repeat=len(rows))))[1:]
+                   for rows in summands]
+        messages = np.array([np.concatenate(m) for m in itertools.product(*nonzero)])
+        weights = np.count_nonzero(spec.vdot(messages, np.vstack(summands)), axis=1)
+        return np.bincount(weights, minlength=n + 1).tolist()
+
+    # (summand dimensions, block): the whole candidates in one block; the
+    # last two summands in one block of (Q - 1)^2 words, after each word of
+    # the first's Q + 1 (two tail spans); and the last summand's Q - 1 words
+    # in one block after a lead word of the first and each of the second's
+    for dims, block in (([1, 1], None), ([2, 1], None), ([1, 1, 1], None),
+                        ([2, 1, 1], (Q - 1) ** 2), ([1, 1, 1], Q - 1)):
+        if block is not None:
+            monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+        candidates = []
+        while len(candidates) < 3:
+            rows = rng.choice(field.elements, size=(sum(dims), n)).astype(np.int32)
+            if LinearCode(field, n, rows).dim == sum(dims):
+                candidates.append(np.split(rows, np.cumsum(dims)[:-1]))
+        stacks = [layout.span(np.stack([c[t] for c in candidates])) for t in range(len(dims))]
+        got = layout.distributions(stacks, [[c] * len(dims) for c in range(3)])
+        for c, summands in enumerate(candidates):
+            assert got[c].tolist() == naive(summands)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("block", [None, 1])
+def test_fused_last_sum_rejects_dependent_summands(monkeypatch, q, block):
+    """A weight-0 sum found through the fused last sum is refused: a last
+    summand that meets the negation of the first (its one word is -r, where
+    r is the first's word with leading coefficient 1, so -first XOR rest
+    is 0 only if the negation is taken), and a zero word in the first and
+    in the last summand, with the candidates in one block and one word to a
+    block."""
+    field = _field(q)
+    spec, n = field.spec, 23
+    layout = linear_codes.word_layout(field, n)
+    assert layout.words == 2
+    if block is not None:
+        monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+    r = np.array([[1, 0, 2, 1] + [0] * 17 + [1, 1]], dtype=np.int32)
+    m = np.array([[0, 1] + [0] * 21], dtype=np.int32)
+    first, middle = layout.span(r)[None], layout.span(m)[None]
+    # the one word -r, and the one word -(r + m) after the middle summand
+    negated = layout.pack(spec.vneg(r))[None]
+    negated_sum = layout.pack(spec.vneg(spec.vadd(r, m)))[None]
+    zero = np.zeros((1, 2, 1), dtype=np.uint64)
+    with_zero = np.concatenate([zero, first], axis=-1)
+    for stacks in ([first, negated], [first, middle, negated_sum],
+                   [with_zero, np.concatenate([zero, middle], axis=-1)]):
+        with pytest.raises(InvariantError):
+            layout.distributions(stacks, [[0] * len(stacks)])
+    # without the dependency the same lists weigh
+    assert layout.distributions([first, middle], [[0, 0]])[0].sum() == (q - 1) ** 2
+
+
 @pytest.mark.parametrize("q,n,k,sizes", [
     (2, 6, 0, [(0,)]),
     (3, 8, 5, [(3 ** 5 - 1,)]),
@@ -489,7 +591,7 @@ def test_distribution_weighs_every_nonempty_sub_sum(monkeypatch, q, n, k, sizes)
     distributions = WordLayout.distributions
 
     def counted(self, stacks, rows):
-        weighed.append(tuple(s.shape[1] for s in stacks))
+        weighed.append(tuple(s.shape[-1] for s in stacks))
         return distributions(self, stacks, rows)
 
     monkeypatch.setattr(WordLayout, "distributions", counted)
