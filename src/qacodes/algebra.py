@@ -15,7 +15,9 @@ and `vmul` (pair tables up to a size limit, digit-wise addition and
 log/exp multiplication above it), `vpow`, and one field sum, `vsum`, a
 digit-wise sum mod p on either presentation.  Every dot product over the
 field -- matrix products, projections, lifts, traces, polynomial
-evaluation -- is `vdot` or `vtrace`, built on `vsum`.  `FieldElement` is
+evaluation -- is `vdot` or `vtrace`, built on `vsum`; when both operands
+hold only prime-field codes (0..p-1 in any tower), `vdot` is the integer
+matmul reduced mod p instead.  `FieldElement` is
 the one scalar interface: each of its operations is one of these array ops
 on its code.  Element text is one array codec too: `to_text` writes codes of
 any shape as strings of base-p digits and `from_text` reads them back in one
@@ -397,9 +399,11 @@ class FieldSpec:
         return self._from_digits(self._digits[A].sum(axis=axis, dtype=np.int64) % self.p)
 
     def vdot(self, A, B):
-        """Matrix product over the field, with the shapes of numpy's matmul:
-        the vsum of the vmul products, taken in blocks of about 2^22 products
-        along the summed axis so that memory stays bounded."""
+        """Matrix product over the field, with the shapes of numpy's matmul.
+        When every code of both operands lies in [0, p), the prime field in
+        any presentation, it is the int64 matmul reduced mod p.  Otherwise
+        it is the vsum of the vmul products, taken in blocks of about 2^22
+        products along the summed axis so that memory stays bounded."""
         A = np.asarray(A, dtype=np.int32)
         B = np.asarray(B, dtype=np.int32)
         if A.ndim == 0 or B.ndim == 0:
@@ -408,11 +412,18 @@ class FieldSpec:
         b = B[:, None] if B.ndim == 1 else B
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"vdot: inner dimensions {a.shape[-1]} and {b.shape[-2]} differ")
-        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-        step = max(1, 2 ** 22 // max(1, math.prod(shape)))
-        out = functools.reduce(self.vadd, (
-            self.vsum(self.vmul(a[..., j:j + step, None], b[..., None, j:j + step, :]), axis=-2)
-            for j in range(0, max(a.shape[-1], 1), step)))
+        p = self.p
+        # as uint32 a negative code is huge, so one max bounds both ends
+        if (a.shape[-1] * (p - 1) ** 2 < 2 ** 63
+                and all(x.size == 0 or x.view(np.uint32).max() < p for x in (a, b))):
+            out = (np.matmul(a, b, dtype=np.int64) % p).astype(np.int32)
+        else:
+            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+            step = max(1, 2 ** 22 // max(1, math.prod(shape)))
+            out = functools.reduce(self.vadd, (
+                self.vsum(self.vmul(a[..., j:j + step, None], b[..., None, j:j + step, :]),
+                          axis=-2)
+                for j in range(0, max(a.shape[-1], 1), step)))
         # drop the axis a 1-d operand gained
         return out.reshape(out.shape[:-2] + out.shape[-2:-1] * (A.ndim > 1)
                            + out.shape[-1:] * (B.ndim > 1))

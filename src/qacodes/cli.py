@@ -39,13 +39,17 @@ def integer(text: str) -> int:
     spaces, '+', '_' and other scripts' digits).  argparse names the type
     after this function: "invalid integer value"."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+        raise ValueError(f"{text!r} is not an optional '-' followed by ASCII digits")
     return int(text)
 
 
 def _parse_group(text: str) -> AbelianGroup:
     try:
-        return AbelianGroup(integer(t) for t in text.split(","))
+        orders = [integer(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad group {text!r}: order {exc}") from exc
+    try:
+        return AbelianGroup(orders)
     except ValueError as exc:
         raise ValueError(f"bad group {text!r}: {exc}") from exc
 

@@ -33,7 +33,11 @@ INDEX = 2
 
 
 def _draws(rng: random.Random, size: int, count: int) -> np.ndarray:
-    return np.array([rng.randrange(size) for _ in range(count)], dtype=np.int64)
+    """`count` draws from [0, size) (size below 2^32) out of one
+    `getrandbits` call: its 64-bit words w, each mapped to (w >> 32) *
+    size >> 32."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u8")
+    return ((words >> 32) * size >> 32).astype(np.int64)
 
 
 def field_axiom_checks(spec, rng: random.Random) -> list[Check]:

@@ -7,6 +7,9 @@ pivot entries times the generators (`contains` tests a stack at once).
 Codes of one shape can also be handled as a stack of generator matrices:
 `rref`, `rank`, `hull_dimensions` and `weight_distributions` treat a whole
 stack in one pass, and `census_stacks` lists every code of a length that way.
+One matrix over a prime field (the codes 0..p-1 of any tower) is reduced
+instead on packed rows, one Python int each at `WordLayout`'s bit places,
+added by XOR for p = 2 and by the layout's SWAR digit add otherwise.
 Weight distributions are found by full message-space enumeration, guarded
 by a cap.  So is the minimum distance of a code whose codewords fit in one
 block; a larger code gets its exact distance from information sets
@@ -39,7 +42,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterator
 
 import numpy as np
@@ -89,18 +93,30 @@ class CodeParams:
 def rref(field: Subfield, matrix) -> np.ndarray:
     """Reduced row echelon form over the given field.
 
-    A two-dimensional matrix gives its nonzero rows.  Leading axes make a
-    stack, and one loop reduces every matrix of it: the result is the
-    reduced stack, in the input's shape with each matrix's zero rows last.
-    `pivot_columns` reads the pivots off the rows.
+    A two-dimensional matrix gives its nonzero rows.  Over a prime field
+    (the codes 0..p-1 of any tower) it is reduced on packed rows, one
+    Python int each (`_packed_rref`), and unpacked once.  Leading axes
+    make a stack, and one loop on element codes reduces every matrix of
+    it: the result is the reduced stack, in the input's shape with each
+    matrix's zero rows last.  `pivot_columns` reads the pivots off the
+    rows.
     """
     spec = field.spec
-    R = np.array(matrix, dtype=np.int32, copy=True)
+    R = np.asarray(matrix, dtype=np.int32)
     if R.ndim < 2:
         raise ValueError("expected a matrix or a stack of matrices")
+    layout = _prime_layout(field, R)
+    if layout is not None:
+        rows = _packed_rref(layout, R)
+        words = np.frombuffer(b"".join(r.to_bytes(8 * layout.words, "little") for r in rows),
+                              dtype="<u8").reshape(len(rows), layout.words, 1)
+        # a prime-field code is its one digit
+        digits = (words >> layout.shifts) & np.uint64((2 << int(layout.top)) - 1)
+        digits = digits.reshape(len(rows), layout.words * len(layout.shifts))
+        return digits[:, :R.shape[1]].astype(np.int32)
     shape = R.shape
     rows, n = shape[-2:]
-    R = R.reshape(math.prod(shape[:-2]), rows, n)
+    R = R.reshape(math.prod(shape[:-2]), rows, n).copy()
     at = np.arange(len(R))
     steps = 0  # the steps that found a pivot in some matrix
     for t in range(min(rows, n)):
@@ -136,6 +152,62 @@ def rref(field: Subfield, matrix) -> np.ndarray:
     return R.reshape(shape)
 
 
+def _prime_layout(field: Subfield, R: np.ndarray) -> "WordLayout | None":
+    """The packed layout of a nonempty 2-D matrix whose codes all lie in
+    the prime field `field`, or None when `R` is reduced on element codes."""
+    # as uint32 a negative code is huge, so one max bounds both ends
+    if (R.ndim != 2 or field.size != field.spec.p or not R.size
+            or R.view(np.uint32).max() >= field.size):
+        return None
+    return word_layout(field, R.shape[1])
+
+
+def _packed_rref(layout: "WordLayout", R: np.ndarray) -> list[int]:
+    """The nonzero RREF rows of the matrix R over the prime field F_p, in
+    pivot order, each packed into one Python int: word j of `layout.pack`
+    at bit 64 j, so a coordinate's digit sits at its layout bits and a
+    lower column at lower bits.  F_2 adds rows by XOR; an odd p adds them
+    digit-wise by the layout's SWAR step (`WordLayout._reduce`), with its
+    constants repeated in every word.  The next pivot is the lowest set bit
+    of the remaining rows, the first of them that holds it is the pivot
+    row, and its p - 1 multiples are formed by repeated addition."""
+    p, width, nbytes = layout.p, int(layout.top) + 1, 8 * layout.words
+    buf = layout.pack(R).T.tobytes()
+    rows = [int.from_bytes(buf[i:i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+    mask = (1 << width) - 1
+    every_word = ((1 << 64 * layout.words) - 1) // ((1 << 64) - 1)
+    ones, top = int(layout.ones) * every_word, width - 1
+    offset = int(layout.offset or 0) * every_word
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - ((s + offset) >> top & ones) * p
+
+    done = 0  # rows[:done] are the reduced pivot rows so far
+    while low := reduce(or_, rows[done:], 0):
+        bit = (low & -low).bit_length() - 1
+        at = bit - bit % 64 % width  # the pivot digit's first bit
+        i = next(i for i in range(done, len(rows)) if rows[i] >> at & mask)
+        rows[i], rows[done] = rows[done], rows[i]
+        pivot = rows[done]
+        # every row, the pivot row too, loses its multiple of the pivot row
+        if p == 2:
+            rows = [r ^ pivot if r >> at & 1 else r for r in rows]
+        else:
+            # multiples[c] = c * pivot, and c * inv turns its lead c into 1,
+            # so a row with digit d loses d * inv * pivot = multiples[(p - d) * inv]
+            multiples = [0, pivot]
+            for _ in range(p - 2):
+                multiples.append(add(multiples[-1], pivot))
+            inv = pow(pivot >> at & mask, -1, p)
+            rows = [add(r, multiples[(p - d) * inv % p]) if (d := r >> at & mask) else r
+                    for r in rows]
+            pivot = multiples[inv]
+        rows[done] = pivot
+        done += 1
+    return rows[:done]
+
+
 def pivot_columns(rows) -> np.ndarray:
     """The column of each row's first nonzero entry (last axis): the pivots
     of RREF rows.  A zero row gives 0."""
@@ -144,8 +216,14 @@ def pivot_columns(rows) -> np.ndarray:
 
 def rank(field: Subfield, matrix) -> int | np.ndarray:
     """The rank of a matrix, or an int array of the ranks of a stack of
-    them (leading axes): the nonzero rows of one `rref` call."""
-    nonzero = np.count_nonzero(rref(field, matrix).any(axis=-1), axis=-1)
+    them (leading axes): the nonzero rows of one `rref` call, or for one
+    matrix over a prime field the packed rows of `_packed_rref`, counted
+    without unpacking them."""
+    R = np.asarray(matrix, dtype=np.int32)
+    layout = _prime_layout(field, R)
+    if layout is not None:
+        return len(_packed_rref(layout, R))
+    nonzero = np.count_nonzero(rref(field, R).any(axis=-1), axis=-1)
     return nonzero if np.ndim(nonzero) else int(nonzero)
 
 

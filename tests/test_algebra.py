@@ -235,6 +235,47 @@ def test_array_primitives_match_scalar_loops(case):
             spec.vdot(A, B)
 
 
+def _oracle_dot(spec, A, B):
+    """vdot's result as the vsum of the vmul products, all at once."""
+    a = A[None] if A.ndim == 1 else A
+    b = B[:, None] if B.ndim == 1 else B
+    out = spec.vsum(spec.vmul(a[..., :, None], b[..., None, :, :]), axis=-2)
+    return out.reshape(out.shape[:-2] + out.shape[-2:-1] * (A.ndim > 1)
+                       + out.shape[-1:] * (B.ndim > 1))
+
+
+@pytest.mark.parametrize("q, tower", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 4), (3, 4)])
+def test_vdot_on_prime_codes_is_an_integer_matmul(q, tower, monkeypatch):
+    """Operands whose codes all lie in [0, p), the prime field in any
+    tower, are multiplied as integers mod p with no vmul or vsum: equal to
+    the vsum(vmul) oracle on 1-d operands, broadcast stacks and an empty
+    summed axis.  Mixed operands, one of them holding an element outside
+    the prime field, take the table path and still equal the oracle."""
+    spec = FieldSpec(q, tower)
+    p = spec.p
+    rng = np.random.default_rng(q * 10 + tower)
+
+    def draw(*shape):
+        return rng.integers(0, p, shape).astype(np.int32)
+
+    v, w, M, T, U = draw(6), draw(6), draw(4, 6), draw(3, 6, 5), draw(2, 5, 4)
+    cases = [(v, w), (v, M.T), (M, w), (M, M.T), (T[:, None], U[None]), (M[None], T),
+             (draw(4, 0), draw(0, 3)), (draw(2, 0, 6), M.T)]
+    wants = [_oracle_dot(spec, A, B) for A, B in cases]
+    with monkeypatch.context() as m:
+        for op in ("vmul", "vsum", "vadd"):
+            m.setattr(spec, op, None)
+        for (A, B), want in zip(cases, wants):
+            got = spec.vdot(A, B)
+            assert got.dtype == np.int32 and got.shape == want.shape == np.matmul(A, B).shape
+            assert np.array_equal(got, want)
+    if tower > 1:
+        X = M.copy()
+        X[1, 2] = p + 1  # x + 1, outside the prime field
+        for A, B in [(X, M.T), (M, X.T), (X[0], M.T), (T, X[..., :5].T)]:
+            assert np.array_equal(spec.vdot(A, B), _oracle_dot(spec, A, B))
+
+
 def _mulmod(a, b, modulus, p):
     """Schoolbook product of two coefficient lists (lowest degree first),
     reduced by long division modulo the monic modulus."""

@@ -473,7 +473,8 @@ def test_group_orders_take_only_ascii_digits(capsys, group):
     code, out, err = run(capsys, "classes", "--q", "2", "--group", group)
     assert (code, out) == (2, "")
     bad = next(t for t in group.split(",") if not (t.isascii() and t.isdigit()))
-    assert err == f"error: bad group {group!r}: invalid literal for int() with base 10: {bad!r}\n"
+    assert err == (f"error: bad group {group!r}: order {bad!r} is not an optional '-' "
+                   "followed by ASCII digits\n")
 
 
 def test_class_member_outside_the_group_exits_2(capsys, tmp_path):

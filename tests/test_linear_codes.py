@@ -117,6 +117,65 @@ def test_rref_of_a_stack_matches_each_matrix(q, shape):
     assert len(patterns) > 2
 
 
+_PRIME_FIELDS = {"F2": F2, "F3": F3, "F5": FieldSpec(5, 1).subfield(1),
+                 "F7": FieldSpec(7, 1).subfield(1), "F2-in-F16": FieldSpec(2, 4).subfield(1),
+                 "F3-in-F81": FieldSpec(3, 4).subfield(1)}
+
+
+@pytest.mark.parametrize("name", list(_PRIME_FIELDS))
+def test_prime_field_rref_matches_the_stacked_loop(name, monkeypatch):
+    """A matrix over a prime field, alone or inside a tower, is reduced on
+    packed integer rows, with no element-code arithmetic: its rows equal
+    those of the stacked loop on the same matrix as a one-matrix stack, and
+    `rank` counts them.  The matrices take in a zero matrix, zero and
+    repeated rows, a row that is a multiple of another, late pivots and
+    the shapes 1x1, 1x60 and 40x3."""
+    field = _PRIME_FIELDS[name]
+    p = field.size
+    rng = np.random.default_rng(p * 100 + field.spec.n)
+
+    def draw(*shape):
+        return rng.integers(0, p, shape).astype(np.int32)
+
+    rows = draw(8, 12)
+    rows[[1, 5]] = 0
+    rows[6] = rows[2]
+    rows[7] = rows[3] * (p - 1) % p
+    late = draw(6, 20)
+    late[:, :13] = 0
+    matrices = [np.zeros((3, 5), np.int32), rows, late, np.ones((1, 1), np.int32),
+                np.zeros((1, 1), np.int32), draw(1, 60), draw(40, 3), draw(12, 50),
+                draw(30, 30)]
+    wants = [rref(field, M[None])[0] for M in matrices]
+    for op in ("vadd", "vmul", "vneg"):
+        monkeypatch.setattr(field.spec, op, None)  # the packed rows need none of them
+    for M, want in zip(matrices, wants):
+        got = rref(field, M)
+        r = len(got)
+        assert got.dtype == np.int32 and got.shape == (r, M.shape[1])
+        assert np.array_equal(got, want[:r]) and not want[r:].any()
+        assert rank(field, M) == r
+
+
+@pytest.mark.parametrize("q, shape, inner", [(2, (500, 1000), 400), (3, (200, 400), 150)])
+def test_prime_field_rref_at_size(q, shape, inner):
+    """A product of random shape[0] x inner and inner x shape[1] matrices
+    reduces to `inner` RREF rows: pivots ascending, each the only nonzero
+    entry of its column, no zero row, the code they span holds every row
+    of the matrix, and the transpose has the same rank."""
+    field = FieldSpec(q, 1).subfield(1)
+    rng = np.random.default_rng(q)
+    M = field.spec.vdot(rng.integers(0, q, (shape[0], inner)),
+                        rng.integers(0, q, (inner, shape[1])))
+    R = rref(field, M)
+    piv = pivot_columns(R)
+    assert len(R) == inner == rank(field, M.T)
+    assert R.any(axis=1).all() and (np.diff(piv) > 0).all()
+    assert (R[np.arange(inner), piv] == 1).all()
+    assert (np.count_nonzero(R[:, piv], axis=0) == 1).all()
+    assert LinearCode(field, shape[1], R, _canonical=True).contains(M)
+
+
 def test_a_code_is_its_rref_rows():
     """`rref` returns the reduced rows alone, for a matrix and for a stack;
     a code's pivots are read off them, and the package neither unpacks a
