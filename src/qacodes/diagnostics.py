@@ -10,8 +10,8 @@ its samples in one array pass: the field axioms through `vadd`, `vmul` and
 `vpow`, the character identities as gathers from the decomposition's
 character table, projection and lift through one stacked group-algebra
 product (`convolve`) and one `char_project` per class, and the module
-idempotents through one class-by-class product.  An identity that fails,
-a lift outside its minimal ideal included, is a FAIL row, not an exception.
+idempotents by one product per class (`idempotent_checks`).  A failed
+identity (say, a lift outside its ideal) is a FAIL row, not an exception.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import AbelianGroup, _prime_factors, convolve
 from .concatenation import block_idempotent
-from .idempotents import SemisimpleDecomposition, decompose_algebra
+from .idempotents import SemisimpleDecomposition, decompose_algebra, idempotent_checks
 
 
 Check = tuple[str, bool, str]
@@ -132,20 +132,16 @@ def decomposition_checks(dec: SemisimpleDecomposition, rng: random.Random) -> li
 
 
 def block_idempotent_checks(dec: SemisimpleDecomposition) -> list[Check]:
-    spec, group, c = dec.spec, dec.group, dec.class_count
+    spec, c = dec.spec, dec.class_count
     # thetas[i, j] = coordinate j of the module idempotent of class i
     thetas = np.array([[e.coeffs for e in block_idempotent(dec, i, INDEX)]
                        for i in range(c)])
-    prods = convolve(spec, group, thetas[:, None], thetas[None])
-    want = np.where(np.eye(c, dtype=bool)[:, :, None, None], thetas[:, None], 0)
-    one = np.zeros(group.size, dtype=np.int32)
-    one[0] = 1
+    idempotent, orthogonal, total = idempotent_checks(spec, dec.group, thetas)
     # theta_i projects onto class i: its character sum at class j is 1 if
     # i == j and 0 otherwise
-    reps = [cls.rep.index for cls in dec.classes]
-    images = spec.vdot(thetas, dec.characters[reps].T)
-    ok = (np.array_equal(prods, want) and (spec.vsum(thetas, axis=0) == one).all()
-          and (images == np.eye(c, dtype=np.int32)[:, None]).all())
+    images = spec.vdot(thetas, dec.characters[[cls.rep.index for cls in dec.classes]].T)
+    ok = (idempotent.all() and orthogonal.all() and (total[:, 0] == 1).all()
+          and not total[:, 1:].any() and (images == np.eye(c, dtype=np.int32)[:, None]).all())
     return [(f"module idempotents at index {INDEX} (products and sum)", bool(ok),
              f"{c} blocks")]
 

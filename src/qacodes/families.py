@@ -164,13 +164,12 @@ def builtin_lcd_outers(q: int, max_length: int = 4,
     """All complementary-dual codes over F_q of length up to max_length, in
     census order: the hulls of each census stack of one length and
     dimension are found at once (`hull_dimensions`), and only the codes
-    with none become `LinearCode`s (zero codes are skipped: a family member
-    needs a distance)."""
+    with none become `LinearCode`s.  The cap of every length is checked
+    before any stack is drawn, so a refusal comes at once."""
     field = FieldSpec(q, 1).subfield(1)
-    out = []
-    for n in range(1, max_length + 1):
-        for stack in census_stacks(field, n, cap):
-            if stack.shape[1]:
-                out += [LinearCode(field, n, gens, _canonical=True)
-                        for gens in stack[hull_dimensions(field, stack) == 0]]
-    return out
+    censuses = [census_stacks(field, n, cap) for n in range(1, max_length + 1)]
+    for census in censuses:
+        next(census)  # the cap check, then the zero code: a member needs a distance
+    return [LinearCode(field, stack.shape[2], gens, _canonical=True)
+            for census in censuses for stack in census
+            for gens in stack[hull_dimensions(field, stack) == 0]]

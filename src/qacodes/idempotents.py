@@ -6,8 +6,8 @@ character sum) and `lift` (extension field -> ideal) realize the isomorphism
 in both directions.  The one lift map is `lift_vector`, on arrays of any
 shape: power-basis coordinates, then psi (the lifts of the power basis, by
 the trace formula); `lift` and `flatten` go through it.  The identities are
-validated once, at construction, so that arithmetic mistakes surface as
-construction failures instead of silently wrong codes.
+validated once, at construction, orthogonality by one product per class,
+so that arithmetic mistakes fail the build instead of giving wrong codes.
 """
 
 from __future__ import annotations
@@ -86,6 +86,19 @@ def class_idempotent(cls: CyclotomicClass, spec: FieldSpec) -> GroupAlgebraEleme
         raise InvariantError(
             f"idempotent for class of {cls.rep.coords} has coefficients outside F_{spec.q}")
     return total
+
+
+def idempotent_checks(spec: FieldSpec, group: AbelianGroup, stack: np.ndarray):
+    """Per element e_i of a stack (class first, group last, any axes between):
+    whether e_i^2 = e_i and whether e_i (e_{i+1} + ... + e_{c-1}) = 0, which
+    is pairwise orthogonality (see `_validate`); then the sum of all e_i."""
+    later = np.zeros_like(stack[0])
+    idempotent, orthogonal = np.empty((2, len(stack)), dtype=bool)
+    for i in range(len(stack) - 1, -1, -1):
+        square, cross = convolve(spec, group, np.stack([stack[i], later]), stack[i])
+        idempotent[i], orthogonal[i] = np.array_equal(square, stack[i]), not cross.any()
+        later = spec.vadd(later, stack[i])
+    return idempotent, orthogonal, later
 
 
 class SemisimpleDecomposition:
@@ -282,18 +295,18 @@ class SemisimpleDecomposition:
     def _validate(self):
         """Check the decomposition identities, once.  Every result is kept
         in `identities` as (identity, where, holds); the first that fails
-        raises InvariantError naming the identity and the class."""
+        raises InvariantError naming the identity and the class.  If each e_i
+        is orthogonal to the sum of the later e_j, that sum fixes each later
+        e_j (by induction from the last class down), so e_i e_j = 0 for i != j."""
         spec, es = self.spec, self.idempotents
-        E = np.stack([e.coeffs for e in es])
-        results = [("sum of idempotents = 1", "all classes",
-                    sum(es[1:], es[0]) == GroupAlgebraElement.one(self.group, spec))]
+        idempotent, orthogonal, total = idempotent_checks(
+            spec, self.group, np.stack([e.coeffs for e in es]))
+        results = []
         for i, (cls, e) in enumerate(zip(self.classes, es)):
             basis, where = self._power_basis[i], f"class {i}"
-            prods = convolve(spec, self.group, e.coeffs, E[i:])  # e_i * e_j for j >= i
             results += [
-                ("e^2 = e", where, np.array_equal(prods[0], e.coeffs)),
-                *(("orthogonality", f"classes {i} and {j}", not prods[j - i].any())
-                  for j in range(i + 1, len(es))),
+                ("e^2 = e", where, bool(idempotent[i])),
+                ("orthogonality", f"{where} and the later classes", bool(orthogonal[i])),
                 ("ideal rank = class size", where,
                  rank(spec.subfield(1), self._psi_matrix[i]) == cls.size),
                 ("lift(1) = e_i", where, self.lift(i, spec.one) == e),
@@ -301,6 +314,8 @@ class SemisimpleDecomposition:
                 ("project(lift(b)) = b on the power basis", where,
                  np.array_equal(self.char_project(i, self.lift_vector(i, basis)), basis)),
             ]
+        results.append(("sum of idempotents = 1", "all classes",
+                        bool(total[0] == 1 and not total[1:].any())))
         for identity, where, holds in results:
             if not holds:
                 raise InvariantError(f"{identity} fails for {where}")

@@ -9,8 +9,8 @@ import pytest
 
 from qacodes.algebra import AbelianGroup, FieldSpec, GroupAlgebraElement
 from qacodes.diagnostics import (block_idempotent_checks, decomposition_checks,
-                                 field_axiom_checks)
-from qacodes.idempotents import SemisimpleDecomposition
+                                 field_axiom_checks, run_identity_suite)
+from qacodes.idempotents import SemisimpleDecomposition, decompose_algebra
 
 
 def _rows(checks):
@@ -52,3 +52,13 @@ def test_swapped_idempotents_fail_the_module_idempotents():
     es = dec.idempotents
     es[1], es[2] = es[2], es[1]
     assert block_idempotent_checks(dec) == [(name, False, "5 blocks")]
+
+
+def test_identity_suite_on_many_classes():
+    """C_63 over F_8 has 35 classes: every row passes, and the decomposition
+    keeps one orthogonality row per class."""
+    assert all(ok for _, ok, _ in run_identity_suite(8, (63,)))
+    dec = decompose_algebra(AbelianGroup((63,)), 8)
+    assert dec.class_count == 35
+    rows = [where for name, where, _ in dec.identities if name == "orthogonality"]
+    assert rows == [f"class {i} and the later classes" for i in range(35)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qacodes.families
 from qacodes.algebra import FieldSpec
 from qacodes.errors import CapExceededError
 from qacodes.families import (FamilyRow, FamilySpec, builtin_lcd_outers, family_member,
@@ -98,6 +99,16 @@ def test_builtin_library_is_lcd_and_sorted():
     outs3 = builtin_lcd_outers(3, 2)
     assert all(c.hull_dimension() == 0 for c in outs3)
     assert all(c.field.spec.q == 3 for c in outs3)
+
+
+def test_builtin_library_checks_every_cap_before_any_census(monkeypatch):
+    """The cap is checked at every length before any census stack is drawn:
+    a refusal at length 5 computes no hull at lengths 1 to 4."""
+    def fail(*args):
+        raise AssertionError("a census stack was drawn before the cap check")
+    monkeypatch.setattr(qacodes.families, "hull_dimensions", fail)
+    with pytest.raises(CapExceededError, match="of length 5 over a size-2 field"):
+        builtin_lcd_outers(2, 5, cap=100)
 
 
 def test_zero_code_is_trivially_lcd():

@@ -10,9 +10,11 @@ import pytest
 import qacodes
 
 from qacodes.algebra import (AbelianGroup, FieldElement, GroupAlgebraElement,
-                             build_tower)
-from qacodes.idempotents import (character_idempotent, class_idempotent,
-                                 cyclotomic_classes, decompose_algebra)
+                             build_tower, convolve)
+from qacodes.errors import InvariantError
+from qacodes.idempotents import (SemisimpleDecomposition, character_idempotent,
+                                 class_idempotent, cyclotomic_classes, decompose_algebra,
+                                 idempotent_checks)
 
 G33 = AbelianGroup((3, 3))
 G55 = AbelianGroup((5, 5))
@@ -272,3 +274,77 @@ def test_lift_internals_read_only_in_idempotents():
     readers = [path.name for path in Path(qacodes.__file__).parent.glob("*.py")
                if internal.search(path.read_text(encoding="utf-8"))]
     assert readers == ["idempotents.py"]
+
+
+def _all_pairs_verdict(spec, group, stack) -> bool:
+    """The oracle: every product e_i e_j of the stack, one convolution per
+    pair, is e_i on the diagonal and 0 off it."""
+    prods = convolve(spec, group, stack[:, None], stack[None])
+    want = np.where(np.eye(len(stack), dtype=bool)[:, :, None], stack[:, None], 0)
+    return bool(np.array_equal(prods, want))
+
+
+def _corruptions(spec, stack, rng):
+    """Seeded corruptions of a stack of idempotents, by name: some keep a
+    set of orthogonal idempotents (a swap, a merge of two classes, a zeroed
+    class), the others break it."""
+    c, size = stack.shape
+    i, j = rng.sample(range(c), 2)
+    out = {}
+    swapped = stack.copy()
+    swapped[[i, j]] = stack[[j, i]]
+    out["swap"] = swapped
+    merged = stack.copy()
+    merged[i], merged[j] = spec.vadd(stack[i], stack[j]), 0
+    out["merge"] = merged
+    added = stack.copy()
+    added[i] = spec.vadd(stack[i], stack[j])
+    out["add"] = added
+    zeroed = stack.copy()
+    zeroed[i] = 0
+    out["zero"] = zeroed
+    monomial = stack.copy()
+    k = rng.randrange(size)
+    monomial[i, k] = spec.vadd(stack[i, k], 1)  # plus the monomial at element k
+    out["monomial"] = monomial
+    noise = stack.copy()
+    noise[i] = [rng.choice(spec.subfield_codes(1)) for _ in range(size)]
+    out["noise"] = noise
+    return out
+
+
+@pytest.mark.parametrize("q, orders", [(2, (3, 3)), (4, (3, 3)), (2, (7, 7)), (8, (63,))])
+def test_idempotent_checks_agree_with_the_all_pairs_oracle(q, orders):
+    """The per-class rule (each e_i against the sum of the later classes)
+    gives the verdict of every pairwise product, on the decomposition's
+    idempotents and on seeded corruptions of them, alone and as the second
+    coordinate of a module stack."""
+    dec = decompose_algebra(AbelianGroup(orders), q)
+    spec, group = dec.spec, dec.group
+    stack = np.stack([e.coeffs for e in dec.idempotents])
+    rng = random.Random(f"{q} {orders}")
+    cases = {"none": stack, **_corruptions(spec, stack, rng)}
+    verdicts = {}
+    for name, corrupt in cases.items():
+        idempotent, orthogonal, total = idempotent_checks(spec, group, corrupt)
+        verdicts[name] = bool(idempotent.all() and orthogonal.all())
+        assert verdicts[name] == _all_pairs_verdict(spec, group, corrupt), name
+        assert np.array_equal(total, spec.vsum(corrupt, axis=0)), name
+        module = np.stack([stack, corrupt], axis=1)
+        idempotent, orthogonal, _ = idempotent_checks(spec, group, module)
+        assert bool(idempotent.all() and orthogonal.all()) == verdicts[name], name
+    assert verdicts["none"] and verdicts["swap"] and verdicts["merge"] and verdicts["zero"]
+    assert not (verdicts["add"] or verdicts["monomial"] or verdicts["noise"])
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (0, 3)])
+def test_validate_names_the_class_that_is_not_orthogonal(i, j):
+    """e_i + e_j is still idempotent, but it is not orthogonal to e_j, one
+    of the later classes: validation fails at class i."""
+    dec = SemisimpleDecomposition(G33, 2)
+    assert all(holds for _, _, holds in dec.identities)
+    es = dec.idempotents
+    es[i] = es[i] + es[j]
+    with pytest.raises(InvariantError,
+                       match=f"^orthogonality fails for class {i} and the later classes$"):
+        dec._validate()
