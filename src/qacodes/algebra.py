@@ -326,12 +326,13 @@ class FieldSpec:
         if pair_tables is None:
             pair_tables = self.size <= _PAIR_TABLE_LIMIT
         if pair_tables:
-            self._add = self._from_digits((digits[:, None, :] + digits[None, :, :]) % p)
-            a = np.arange(self.size)
-            lg = log[a]
-            prod = exp[(lg[:, None] + lg[None, :]) % N] if N > 0 else np.ones((1, 1), np.int32)
-            prod = np.where((a[:, None] == 0) | (a[None, :] == 0), 0, prod)
-            self._mul = prod.astype(np.int32)
+            # one digit place at a time, so no size x size x n temporary
+            self._add = np.zeros((self.size, self.size), dtype=np.int32)
+            for j in range(self.n):
+                self._add += np.add.outer(digits[:, j], digits[:, j]) % p * np.int32(p ** j)
+            lg = log.astype(np.int32)
+            self._mul = exp[np.add.outer(lg, lg) % N]
+            self._mul[0, :] = self._mul[:, 0] = 0
         else:
             self._add = None
             self._mul = None

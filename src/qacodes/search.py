@@ -49,10 +49,11 @@ that holds them.  The codewords of a code are the zero word and the
 disjoint union of the all-nonzero words of its nonempty sub-assignments,
 so a survivor's weight distribution is the zero word plus the counts of
 its nonempty sub-tuples, each reached through the faces by dropping
-positions from the highest down.  It is summed once per level, after the
-level is joined, a batch of tuples at a time, for the tuples that can be
-reported (under a dimension target, those of that dimension), and must
-count q^k words.
+positions from the highest down.  It is summed in the chunk that weighed
+the survivor, for the tuples that can be reported (under a dimension
+target, those of it), and must count q^k words.  Under a target a level
+stores only the tuples below it: one of the target dimension is no face
+of a candidate and extends to none.
 A dimension target whose codewords exceed the cap is settled after stage
 1: refused if the Singleton bound allows it (k <= n - d_min + 1) and one
 survivor dimension from each of some set of distinct classes adds up to
@@ -275,24 +276,10 @@ def search(spec: SearchSpec) -> SearchResult:
     # per weight distribution (as bytes): the rank key, id tuple and weight
     # distribution of the least assignment reaching it
     best: dict[bytes, tuple] = {}
-
-    def accept(tuples: np.ndarray, wd: np.ndarray) -> None:
-        """Record the survivors `tuples` (one id tuple per row) with weight
-        distributions `wd`."""
-        if not len(tuples):
-            return
-        ranks = rank[tuples]
-        prints = wd.view(np.dtype((np.void, wd.shape[1] * wd.itemsize))).ravel()
-        # by fingerprint (row bytes), then rank: the first row of each
-        # fingerprint has its least rank
-        order = np.lexsort((*ranks.T[::-1], prints))
-        runs = wd[order]
-        first = order[np.r_[True, (runs[1:] != runs[:-1]).any(axis=1)]]
-        for t in first.tolist():
-            fp, key = wd[t].tobytes(), tuple(ranks[t].tolist())
-            held = best.get(fp)
-            if held is None or key < held[0]:
-                best[fp] = (key, tuple(tuples[t].tolist()), wd[t].copy())
+    # rebuilt weight distributions take the narrowest unsigned type that holds
+    # the nonzero words of the largest code a survivor can be
+    max_dim = min(n - d_min + 1, dim_target or n)
+    count_type = np.min_scalar_type(min(spec.q ** max_dim, spec.caps.codewords, 2 ** 64) - 1)
 
     # Level s holds the surviving id tuples of s classes as the rows of `ids`,
     # their dimensions, the rows in level s - 1 of their s faces (the tuple
@@ -300,36 +287,46 @@ def search(spec: SearchSpec) -> SearchResult:
     # last face * count + last id, ascending.  Level 0 is the empty tuple.
     # The faces and the all-nonzero counts of every level are kept; ids and
     # faces fit int32, as a level of 2^31 rows would not fit in memory.
-    ids, level_dims = np.arange(count, dtype=np.int32)[:, None], dims
-    faces, keys = np.zeros((count, 1), dtype=np.int32), np.arange(count)
-    face_levels = [None, faces]
-    count_levels = [None, _narrow(np.array(wds, dtype=np.int64).reshape(count, n + 1)[:, d_min:])]
+    face_levels, count_levels = [None], [None]
+
+    def accept(level: int, tuples: np.ndarray, tuple_dims: np.ndarray,
+               new_faces: np.ndarray, found: np.ndarray):
+        """Accept the new survivors `tuples` of `level` (id tuples, with their
+        dimensions, faces and all-nonzero counts): rebuild the weight
+        distributions of those that can be reported (all, or those of the
+        dimension target), keep the least assignment of each, and return
+        the rows to store (all, or those below the target)."""
+        stored = slice(None) if dim_target is None else tuple_dims < dim_target
+        rows = slice(None) if dim_target is None else ~stored
+        tuples = tuples[rows]
+        if not len(tuples):
+            return stored
+        wd = np.zeros((len(tuples), n + 1), dtype=count_type)
+        wd[:, 0] = 1
+        _add_subsets(wd[:, d_min:], [*face_levels, new_faces], [*count_levels, found],
+                     level, rows, level)
+        if not np.array_equal(wd.sum(axis=1, dtype=np.int64), spec.q ** tuple_dims[rows]):
+            raise InvariantError("a rebuilt weight distribution does not count q^k words")
+        ranks = rank[tuples]
+        prints = wd.view(np.dtype((np.void, wd.shape[1] * wd.itemsize))).ravel()
+        # in rank order, the first row of each fingerprint has its least rank
+        order = np.lexsort(ranks.T[::-1])
+        first = order[np.unique(prints[order], return_index=True)[1]]
+        for t in first.tolist():
+            fp, key = wd[t].tobytes(), tuple(ranks[t].tolist())
+            held = best.get(fp)
+            if held is None or key < held[0]:
+                best[fp] = (key, tuple(tuples[t].tolist()), wd[t].copy())
+        return stored
+
+    ids, faces, keys = (np.arange(count, dtype=np.int32)[:, None],
+                        np.zeros((count, 1), dtype=np.int32), np.arange(count))
+    found = _narrow(np.array(wds, dtype=np.int64).reshape(count, n + 1)[:, d_min:])
     del spans, wds  # views of the stage-1 blocks
-
-    # rebuilt weight distributions take the narrowest unsigned type that holds
-    # the nonzero words of the largest code a survivor can be (a batch of them
-    # in int64 raises the search's peak memory)
-    max_dim = min(n - d_min + 1, dim_target or n)
-    count_type = np.min_scalar_type(min(spec.q ** max_dim, spec.caps.codewords, 2 ** 64) - 1)
-
-    def accept_level(level: int) -> None:
-        """Accept the reported tuples of the current level (all, or those of
-        the target dimension) with their weight distributions, the zero
-        word plus the all-nonzero counts of all their sub-tuples, a batch of
-        tuples at a time."""
-        rows = (np.arange(len(ids)) if dim_target is None
-                else np.flatnonzero(level_dims == dim_target))
-        batch = layout.batch
-        for a in range(0, len(rows), batch):
-            part = rows[a:a + batch]
-            wd = np.zeros((len(part), n + 1), dtype=count_type)
-            wd[:, 0] = 1
-            _add_subsets(wd[:, d_min:], face_levels, count_levels, level, part, level)
-            if not np.array_equal(wd.sum(axis=1, dtype=np.int64), spec.q ** level_dims[part]):
-                raise InvariantError("a rebuilt weight distribution does not count q^k words")
-            accept(ids[part], wd)
-
-    accept_level(1)
+    stored = accept(1, ids, dims, faces, found)
+    ids, level_dims, faces, keys, found = (a[stored] for a in (ids, dims, faces, keys, found))
+    face_levels.append(faces)
+    count_levels.append(found)
     stats["stages"].append(_stage_stats(1, counts, count, start_time))
     # the smallest dimension among the ids of later classes (0 where there are none)
     room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later]
@@ -395,7 +392,7 @@ def search(spec: SearchSpec) -> SearchResult:
         good = survived[order]
         return (tuples[good], cand_dims[good],
                 np.column_stack([at[good], sibling[good], base[good]]).astype(np.int32),
-                base[good] * count + j[good], np.concatenate(found)[order])
+                np.concatenate(found)[order], base[good] * count + j[good])
 
     survivors = count
     # a dimension target past the codeword cap is refused now if the
@@ -431,23 +428,23 @@ def search(spec: SearchSpec) -> SearchResult:
         widths = np.searchsorted(keys, parent + count) - first
         ends = np.cumsum(widths)
         levels = []
-        a = 0
+        a = survivors = 0
         while a < len(frontier):
             # a chunk of frontier rows with at most one batch of pairs (one row at least)
             b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + layout.batch,
                                                side="right")))
             level = weigh_chunk(stage, frontier[a:b], first[a:b], widths[a:b], counts)
-            if level is not None:
-                levels.append(level)
+            if level is not None:  # accepted in its chunk, a batch of pairs at most
+                survivors += len(level[0])
+                stored = accept(stage, *level[:4])
+                levels.append([part[stored] for part in level])
             a = b
-        survivors = sum(len(level[0]) for level in levels)
-        if survivors:
-            ids, level_dims, faces, keys, found = (np.concatenate(parts)
+        if survivors:  # the stored level may be empty: the next stage records its entry
+            ids, level_dims, faces, found, keys = (np.concatenate(parts)
                                                    for parts in zip(*levels))
-            levels.clear()  # the chunks' copies of the new level, freed before the sums
+            levels.clear()  # the chunks' copies, freed before the next frontier
             face_levels.append(faces)
             count_levels.append(found)
-            accept_level(stage)
         stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
 
     # fingerprint deduplication, deterministic order

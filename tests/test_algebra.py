@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,25 @@ def test_pair_table_and_fallback_paths_agree():
     M = A.reshape(4, 4)
     assert np.array_equal(fast.vdot(M, M[::-1]), slow.vdot(M, M[::-1]))
     assert np.array_equal(fast.vsum(M, 0), slow.vsum(M, 0))
+    # the whole pair tables, at the largest default size and over odd primes
+    for q, degree in [(2, 10), (3, 6), (31, 2)]:
+        fast = FieldSpec(q, degree, pair_tables=True)
+        slow = FieldSpec(q, degree, pair_tables=False)
+        A = np.arange(fast.size, dtype=np.int32)
+        assert np.array_equal(fast._add, slow.vadd(A[:, None], A))
+        assert np.array_equal(fast._mul, slow.vmul(A[:, None], A))
+
+
+def test_pair_tables_peak_memory():
+    """The 1024 x 1024 pair tables of F_1024 (8 MB kept) are built without a
+    size x size x n temporary of digits."""
+    tracemalloc.start()
+    try:
+        FieldSpec(2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 # scalar references for the array primitives: Python loops over vadd and

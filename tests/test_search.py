@@ -1,6 +1,7 @@
 """Staged search: soundness, stage-1 completeness, determinism."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,10 +298,31 @@ def test_search_stats_report_throughput():
 
 
 def test_search_dim_target_filters_output():
-    full = search(SearchSpec(q=2, group=G33, index=2, d_min=8))
-    only4 = search(SearchSpec(q=2, group=G33, index=2, d_min=8, dim_target=4))
-    want = {e.fingerprint for e in full.codes if e.params.dim == 4}
-    assert {e.fingerprint for e in only4.codes} == want
+    """A dimension target gives the full search's entries of that dimension,
+    least assignments included.  Over C2xC2 a stage stores the tuples below
+    the target and drops those of it, which still get reported."""
+    for q, group, index, d_min, dims in [(2, G33, 2, 8, [4]), (2, G33, 3, 10, None),
+                                         (3, AbelianGroup((2, 2)), 3, 4, range(1, 6))]:
+        full = search(SearchSpec(q=q, group=group, index=index, d_min=d_min))
+        for k in dims or sorted({e.params.dim for e in full.codes}):
+            only = search(SearchSpec(q=q, group=group, index=index, d_min=d_min, dim_target=k))
+            want = [(e.assignment, e.fingerprint) for e in full.codes if e.params.dim == k]
+            assert want and [(e.assignment, e.fingerprint) for e in only.codes] == want
+
+
+def test_search_dim_target_peak_memory():
+    """Survivors of the target dimension are accepted in the chunk that
+    weighed them and never stored in a level; storing them would raise the
+    traced peak of this search to about 15 MB."""
+    group = AbelianGroup((2, 2))
+    decompose_algebra(group, 3)  # built once, outside the traced search
+    tracemalloc.start()
+    try:
+        search(SearchSpec(q=3, group=group, index=3, d_min=4, dim_target=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_no_survivor_contains_a_pruned_summand():
