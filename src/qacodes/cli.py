@@ -299,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=integer, required=True)
     p.add_argument("--dmin", type=integer, required=True)
     p.add_argument("--dim", type=integer, default=None, help="only report this dimension")
+    p.add_argument("--cap-candidates", type=integer, default=None,
+                   help="max candidates in one search stage")
     p.add_argument("--out", help="write results JSON here")
     p.set_defaults(func=_cmd_search)
 
@@ -328,7 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.caps = Caps(args.cap_codewords, args.cap_subspaces)
+        args.caps = Caps(args.cap_codewords, args.cap_subspaces,
+                         getattr(args, "cap_candidates", None))  # only `search` has one
         doc, lines = args.func(args)
         if args.json:
             sys.stdout.write(_json_text(doc))

@@ -374,6 +374,11 @@ class WordLayout:
         return np.concatenate((full[..., :zero], full[..., zero + 1:]), axis=-1)
 
     @property
+    def block(self) -> int:
+        """How many codewords, counters or ids one block holds."""
+        return _BLOCK_CODEWORDS
+
+    @property
     def batch(self) -> int:
         """How many weight distributions one block of counters holds."""
         return max(1, _BLOCK_CODEWORDS // (self.length + 1))

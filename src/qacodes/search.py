@@ -8,29 +8,32 @@ Stage 1 concatenates every nonzero outer code of the chosen index with every
 minimal ideal and keeps, under an integer id, the combinations whose exact
 minimum distance reaches the target.  The census of outer codes is built
 once per class size, one stack of generator matrices per dimension
-(`census_stacks`); the stack of one class and one dimension is flattened,
+(`census_stacks`); each class's stacks are flattened with its own lift and
 spanned (`WordLayout.span`: a word list, word-major, with one column of
-packed words per nonzero codeword) and weighed together, only its
-survivors become `LinearCode`s, and the span of each survivor is stored
-once, in the same layout.  Stage s + 1 extends the surviving id
-tuples of stage s by one id of a later class, level-synchronously: level s
-holds its tuples as the rows of an array, each with the rows of its s faces
-(the tuple less one id) in level s - 1 and a key (last face, last id),
-ascending.  The search is complete because every sub-assignment of a
-survivor is itself a survivor (a direct summand has at least the distance of
-the sum); the same fact prunes a candidate one of whose sub-assignments did
-not survive.  So a tuple is extended only by the last ids of its siblings
-(the rows that share its last face, one run of the sorted keys), and the
-other faces of each extension are looked up in the keys with one
-`np.searchsorted`; the positions found are the faces of the new
-survivors.  The frontier is taken in chunks of at most one block of weight
-counters: the candidate pairs of a chunk come from one `np.repeat`, are
-selected with array masks (dimension target, subset closure, Singleton
-bound) and checked against the codeword cap, and the candidates of one
-summand-dimension signature are weighed by one `WordLayout.distributions`
-call on the stored spans of their ids.  A stage still counts as candidates
-all ids of later classes within the dimension target; those that are not
-siblings count among the pruned.
+packed words per nonzero codeword), and the spans of one class size and
+dimension are weighed in one pass.  An id keeps its census rows (only
+reported ids become `LinearCode`s) and its span, stored once in the same
+layout.  Stage s + 1
+extends the surviving id tuples of stage s by one id of a later class,
+level-synchronously: level s holds its tuples as the rows of an array, each
+with the rows of its s faces (the tuple less one id) in level s - 1 and a
+key (last face, last id), ascending.  The search is complete because every
+sub-assignment of a survivor is itself a survivor (a direct summand has at
+least the distance of the sum); the same fact prunes a candidate one of
+whose sub-assignments did not survive.  So a tuple is extended only by the
+last ids of its siblings (the rows that share its last face, one run of the
+sorted keys), and the other faces of each extension are looked up in the
+keys with one `np.searchsorted`; the positions found are the faces of the
+new survivors.  The frontier is taken in windows of at most one block of
+candidate ids (block / s sibling pairs at stage s, one frontier row at
+least): the pairs of a window come from one `np.repeat`, are selected with
+array masks (dimension target, subset closure, Singleton bound) and checked
+against the codeword cap, and the candidates of one summand-dimension
+signature are weighed on the stored spans of their ids by
+`WordLayout.distributions`, one block of weight counters (`WordLayout.batch`
+candidates) to a call.  A stage still counts as candidates all ids of later
+classes within the dimension target; those that are not siblings count among
+the pruned.
 
 A span lists the nonzero words of its piece, so the weigher counts only a
 candidate's all-nonzero words, the sums in which every summand is nonzero:
@@ -49,15 +52,16 @@ that holds them.  The codewords of a code are the zero word and the
 disjoint union of the all-nonzero words of its nonempty sub-assignments,
 so a survivor's weight distribution is the zero word plus the counts of
 its nonempty sub-tuples, each reached through the faces by dropping
-positions from the highest down.  It is summed in the chunk that weighed
-the survivor, for the tuples that can be reported (under a dimension
-target, those of it), and must count q^k words.  Under a target a level
-stores only the tuples below it: one of the target dimension is no face
-of a candidate and extends to none.
-A dimension target whose codewords exceed the cap is settled after stage
-1: refused if the Singleton bound allows it (k <= n - d_min + 1) and one
-survivor dimension from each of some set of distinct classes adds up to
-it, an empty result otherwise.
+positions from the highest down.  It is summed in the window that weighed
+the survivor, one block of counters at a time, for the tuples that can be
+reported (under a dimension target, those of it), and must count q^k
+words.  Under a target a level stores only the tuples below it: one of the
+target dimension is no face of a candidate and extends to none.
+A stage of more candidates than `Caps.candidates` is refused before it
+weighs any.  A dimension target whose codewords exceed the cap is settled
+after stage 1: refused if the Singleton bound allows it (k <= n - d_min +
+1) and one survivor dimension from each of some set of distinct classes
+adds up to it, an empty result otherwise.
 Results are deduplicated by (parameters, weight distribution) - a proxy for
 code equivalence, which is deliberately out of scope - keeping the least
 assignment of each fingerprint, one `np.lexsort` per batch.
@@ -84,12 +88,15 @@ from .linear_codes import (DEFAULT_CODEWORD_CAP, DEFAULT_SUBSPACE_CAP, CodeParam
 class Caps:
     codewords: int = DEFAULT_CODEWORD_CAP
     subspaces: int = DEFAULT_SUBSPACE_CAP
+    candidates: int | None = None  # per search stage; None bounds none
 
     def __post_init__(self):
         if self.codewords < 1:
             raise ValueError(f"codeword cap must be positive, got {self.codewords}")
         if self.subspaces < 1:
             raise ValueError(f"subspace cap must be positive, got {self.subspaces}")
+        if self.candidates is not None and self.candidates < 1:
+            raise ValueError(f"candidate cap must be positive, got {self.candidates}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,13 @@ def _check_cap(spec: SearchSpec, stage: int, n: int, dim: int) -> None:
             spec.q ** dim, spec.caps.codewords)
 
 
+def _check_work(spec: SearchSpec, stage: int, candidates: int) -> None:
+    """Refuse a stage of more candidates than the cap, before it weighs any."""
+    if spec.caps.candidates is not None and candidates > spec.caps.candidates:
+        raise CapExceededError(f"search stage {stage}: candidates", candidates,
+                               spec.caps.candidates)
+
+
 def _reaches(classes: list[int], dims: np.ndarray, target: int) -> bool:
     """Whether one dimension from each of some set of distinct classes (ids
     in class order) adds up to `target`."""
@@ -148,48 +162,60 @@ def _reaches(classes: list[int], dims: np.ndarray, target: int) -> bool:
     return target in sums
 
 
-def _stage1(dec, spec: SearchSpec, layout: WordLayout, i: int, census: list,
-            counts: dict):
-    """Yield (outer, span, weight distribution) for every nonzero outer code
-    of class i, up to the dimension target, whose concatenation meets the
-    distance target, counting the candidates, the Singleton rejections, the
-    weighed codes and their words in `counts`.  `census` holds the RREF
-    generator matrices of the outer codes over the class field, one stack
-    per dimension (`census_stacks`); a stack is flattened, spanned and
-    weighed at once, and only its survivors become `LinearCode`s.  A span
-    lists the nonzero codewords, so a distribution counts no zero word."""
-    n = layout.length
-    k_i = dec.classes[i].size
-    field = dec.spec.subfield(k_i)
-    for stack in census:  # dimension-ascending
-        r = stack.shape[1]
-        dim = k_i * r
-        if spec.dim_target is not None and dim > spec.dim_target:
-            break
-        if r == 0:
-            continue
-        counts["candidates"] += len(stack)
-        # no [n, k, >= d_min] code exists beyond the Singleton bound
-        if dim > n - spec.d_min + 1:
-            counts["singleton"] += len(stack)
-            continue
-        _check_cap(spec, 1, n, dim)
-        spans = layout.span(dec.flatten(i, stack))
-        counts["weighed"] += len(stack)
-        counts["words"] += spans.shape[0] * (spans.shape[-1] // (spec.q - 1))
-        wds = layout.distributions([spans], np.arange(len(stack)))
-        for j in np.flatnonzero(~wds[:, 1:spec.d_min].any(axis=1)).tolist():
-            yield LinearCode(field, spec.index, stack[j], _canonical=True), spans[j], wds[j]
-
-
-def _census(dec, spec: SearchSpec, i: int, censuses: dict) -> list:
-    """The census stacks of class i's outer codes, built at the first class
-    of its size and kept in `censuses` (one search's) for the others."""
-    k_i = dec.classes[i].size
-    if k_i not in censuses:
-        censuses[k_i] = list(census_stacks(dec.spec.subfield(k_i), spec.index,
-                                           spec.caps.subspaces))
-    return censuses[k_i]
+def _stage1(dec, spec: SearchSpec, layout: WordLayout, classes, counts: dict):
+    """The nonzero outer codes of `classes`, up to the dimension target, whose
+    concatenation meets the distance target, counting the candidates, the
+    Singleton rejections, the weighed codes and their words in `counts`:
+    in class order, then census order, their classes, RREF generator rows
+    over the class field, dimensions, weight distributions (of nonzero
+    words) and slots in `stacks`, their spans stacked per dimension.  One
+    pass weighs the census stacks of one class size and dimension, each
+    flattened with its class's lift and spanned on its own (a span's
+    temporaries grow with its stack), `layout.batch` codes to a call."""
+    n, d_min, batch = layout.length, spec.d_min, layout.batch
+    censuses: dict = {}  # class size -> census stacks, built at its first class
+    passes: dict = {}  # (class size, outer dimension) -> [(class, census stack)]
+    for i in classes:
+        k_i = dec.classes[i].size
+        if k_i not in censuses:
+            censuses[k_i] = list(census_stacks(dec.spec.subfield(k_i), spec.index,
+                                               spec.caps.subspaces))
+        for stack in censuses[k_i][1:]:  # the nonzero codes, dimension-ascending
+            r, dim = stack.shape[1], k_i * stack.shape[1]
+            if spec.dim_target is not None and dim > spec.dim_target:
+                break
+            counts["candidates"] += len(stack)
+            # no [n, k, >= d_min] code exists beyond the Singleton bound
+            if dim > n - d_min + 1:
+                counts["singleton"] += len(stack)
+                continue
+            _check_cap(spec, 1, n, dim)
+            passes.setdefault((k_i, r), []).append((i, stack))
+    _check_work(spec, 1, counts["candidates"])
+    # per survivor: class, outer dimension, census row, dimension, slot
+    kept, wds, stacks = [np.zeros((0, 5), np.int64)], [np.zeros((0, n + 1), np.int64)], {}
+    for (k, r), members in passes.items():
+        spans = np.concatenate([layout.span(dec.flatten(i, stack)) for i, stack in members])
+        m = len(spans)
+        counts["weighed"] += m
+        counts["words"] += m * (spans.shape[-1] // (spec.q - 1))
+        wd = np.concatenate([layout.distributions([spans], np.arange(a, min(a + batch, m)))
+                             for a in range(0, m, batch)])
+        good = np.flatnonzero(~wd[:, 1:d_min].any(axis=1))
+        block = stacks.setdefault(k * r, [])
+        kept.append(np.column_stack([
+            np.repeat([i for i, _ in members], [len(s) for _, s in members])[good],
+            np.full(len(good), r), np.concatenate([np.arange(len(s)) for _, s in members])[good],
+            np.full(len(good), k * r), sum(map(len, block)) + np.arange(len(good))]))
+        block.append(spans[good])
+        wds.append(wd[good])
+    kept = np.concatenate(kept)
+    order = np.lexsort(kept[:, 2::-1].T)
+    cls, outer_dims, rows, dims, slot = kept[order].T
+    gens = [censuses[dec.classes[i].size][r][j]
+            for i, r, j in zip(cls.tolist(), outer_dims.tolist(), rows.tolist())]
+    return (cls.tolist(), gens, dims.astype(np.int32), np.concatenate(wds)[order], slot,
+            {k: np.concatenate(block) for k, block in stacks.items()})
 
 
 def _stage_stats(stage: int, counts: dict, survivors: int, start_time: float) -> dict:
@@ -228,9 +254,20 @@ def stage1_filter(spec: SearchSpec, class_index: int) -> list[tuple[LinearCode, 
     dec = decompose_algebra(spec.group, spec.q)
     layout = word_layout(dec.spec.subfield(1), dec.group.size * spec.index)
     counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
-    census = _census(dec, spec, class_index, {})
-    return [(outer, least_weight(wd))
-            for outer, _, wd in _stage1(dec, spec, layout, class_index, census, counts)]
+    _, gens, _, wds, _, _ = _stage1(dec, spec, layout, [class_index], counts)
+    field = dec.spec.subfield(dec.classes[class_index].size)
+    return [(LinearCode(field, spec.index, g, _canonical=True), least_weight(wd))
+            for g, wd in zip(gens, wds)]
+
+
+def _windows(widths: np.ndarray, pairs: int):
+    """Bounds a, b of each window of frontier rows, in order: rows whose
+    `widths` (sibling pairs) add up to at most `pairs`, one row at least."""
+    ends, a = np.cumsum(widths), 0
+    while a < len(widths):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + pairs, side="right")))
+        yield a, b
+        a = b
 
 
 def search(spec: SearchSpec) -> SearchResult:
@@ -243,33 +280,16 @@ def search(spec: SearchSpec) -> SearchResult:
     layout = word_layout(dec.spec.subfield(1), n)
     stats: dict = {"stages": []}
 
-    # stage 1: ids in class order, then outer-code enumeration order
+    # stage 1: ids in class order, then census order
     start_time = time.perf_counter()
     counts = {"candidates": 0, "singleton": 0, "weighed": 0, "words": 0}
-    classes, outers, spans, wds = [], [], [], []
-    censuses: dict = {}  # class size -> census stacks, for this search alone
-    for i in range(dec.class_count):
-        census = _census(dec, spec, i, censuses)
-        for outer, span, wd in _stage1(dec, spec, layout, i, census, counts):
-            classes.append(i)
-            outers.append(outer)
-            spans.append(span)
-            wds.append(wd)
-    count = len(outers)
-
-    dims = np.array([dec.classes[i].size * c.dim for i, c in zip(classes, outers)],
-                    dtype=np.int64)
+    classes, gens, dims, wds, slot, stacks = _stage1(dec, spec, layout, range(dec.class_count),
+                                                     counts)
+    count = len(classes)
     later = np.searchsorted(classes, classes, side="right")  # first id of a later class
-    # the spans of each dimension stacked, and each id's slot in its stack
     dim_values = np.unique(dims)
-    slot = np.zeros(count, dtype=np.int64)
-    stacks = {}
-    for k in dim_values.tolist():
-        members = np.flatnonzero(dims == k)
-        slot[members] = np.arange(len(members))
-        stacks[k] = np.stack([spans[j] for j in members])
     # rank of each id under the (class, generator bytes) order of the output
-    order = sorted(range(count), key=lambda j: (classes[j], outers[j].gens.tobytes()))
+    order = sorted(range(count), key=lambda j: (classes[j], gens[j].tobytes()))
     rank = np.empty(count, dtype=np.int64)
     rank[order] = np.arange(count)
 
@@ -294,39 +314,45 @@ def search(spec: SearchSpec) -> SearchResult:
         """Accept the new survivors `tuples` of `level` (id tuples, with their
         dimensions, faces and all-nonzero counts): rebuild the weight
         distributions of those that can be reported (all, or those of the
-        dimension target), keep the least assignment of each, and return
-        the rows to store (all, or those below the target)."""
+        dimension target) a block of counters at a time, keep the least
+        assignment of each, and return the rows to store (all, or below)."""
         stored = slice(None) if dim_target is None else tuple_dims < dim_target
-        rows = slice(None) if dim_target is None else ~stored
-        tuples = tuples[rows]
-        if not len(tuples):
-            return stored
-        wd = np.zeros((len(tuples), n + 1), dtype=count_type)
-        wd[:, 0] = 1
-        _add_subsets(wd[:, d_min:], [*face_levels, new_faces], [*count_levels, found],
-                     level, rows, level)
-        if not np.array_equal(wd.sum(axis=1, dtype=np.int64), spec.q ** tuple_dims[rows]):
-            raise InvariantError("a rebuilt weight distribution does not count q^k words")
-        ranks = rank[tuples]
-        prints = wd.view(np.dtype((np.void, wd.shape[1] * wd.itemsize))).ravel()
-        # in rank order, the first row of each fingerprint has its least rank
-        order = np.lexsort(ranks.T[::-1])
-        first = order[np.unique(prints[order], return_index=True)[1]]
-        for t in first.tolist():
-            fp, key = wd[t].tobytes(), tuple(ranks[t].tolist())
-            held = best.get(fp)
-            if held is None or key < held[0]:
-                best[fp] = (key, tuple(tuples[t].tolist()), wd[t].copy())
+        reported = np.arange(len(tuples)) if dim_target is None else np.flatnonzero(~stored)
+        for a in range(0, len(reported), layout.batch):
+            rows = reported[a:a + layout.batch]
+            wd = np.zeros((len(rows), n + 1), dtype=count_type)
+            wd[:, 0] = 1
+            _add_subsets(wd[:, d_min:], [*face_levels, new_faces], [*count_levels, found],
+                         level, rows, level)
+            if not np.array_equal(wd.sum(axis=1, dtype=np.int64),
+                                  spec.q ** tuple_dims[rows].astype(np.int64)):
+                raise InvariantError("a rebuilt weight distribution does not count q^k words")
+            ranks = rank[tuples[rows]]
+            prints = wd.view(np.dtype((np.void, wd.shape[1] * wd.itemsize))).ravel()
+            # in rank order, the first row of each fingerprint has its least rank
+            order = np.lexsort(ranks.T[::-1])
+            for t in order[np.unique(prints[order], return_index=True)[1]].tolist():
+                fp, key = wd[t].tobytes(), tuple(ranks[t].tolist())
+                held = best.get(fp)
+                if held is None or key < held[0]:
+                    best[fp] = (key, tuple(tuples[rows[t]].tolist()), wd[t].copy())
         return stored
 
     ids, faces, keys = (np.arange(count, dtype=np.int32)[:, None],
                         np.zeros((count, 1), dtype=np.int32), np.arange(count))
-    found = _narrow(np.array(wds, dtype=np.int64).reshape(count, n + 1)[:, d_min:])
-    del spans, wds  # views of the stage-1 blocks
+    found = _narrow(wds[:, d_min:])
     stored = accept(1, ids, dims, faces, found)
     ids, level_dims, faces, keys, found = (a[stored] for a in (ids, dims, faces, keys, found))
     face_levels.append(faces)
     count_levels.append(found)
+
+    def level_bytes() -> int:
+        """The most bytes the stored levels have held (all faces and counts,
+        the last level's ids, keys and dimensions)."""
+        now = sum(a.nbytes for a in (*face_levels[1:], *count_levels[1:], ids, keys, level_dims))
+        return max([now, *(s["level_bytes"] for s in stats["stages"][-1:])])
+
+    counts["level_bytes"] = level_bytes()
     stats["stages"].append(_stage_stats(1, counts, count, start_time))
     # the smallest dimension among the ids of later classes (0 where there are none)
     room = np.append(np.minimum.accumulate(dims[::-1])[::-1], 0)[later]
@@ -335,16 +361,17 @@ def search(spec: SearchSpec) -> SearchResult:
     later_of_dim = np.zeros((len(dim_values), count + 1), dtype=np.int64)
     later_of_dim[:, :-1] = np.cumsum((dims == dim_values[:, None])[:, ::-1], axis=1)[:, ::-1]
 
-    def weigh_chunk(stage: int, rows: np.ndarray, first: np.ndarray, width: np.ndarray,
-                    counts: dict):
+    def weigh_window(stage: int, rows: np.ndarray, first: np.ndarray, width: np.ndarray,
+                     counts: dict):
         """Select and weigh the extensions of the frontier rows `rows` by
         the ids of the level rows first..first + width - 1 (their siblings
         with an id of a later class), count them and return the survivors'
         level rows (None if there are none).  A candidate weighs only its
-        sums in which every summand is nonzero: each other sum lies in a
-        sub-assignment, which survived."""
+        sums in which every summand is nonzero (each other sum lies in a
+        sub-assignment, which survived), a block of counters to a call."""
         base = np.repeat(rows, width)
-        sibling = np.arange(len(base)) + np.repeat(first - np.cumsum(width) + width, width)
+        sibling = np.arange(len(base), dtype=np.int32) + np.repeat(
+            first - np.cumsum(width, dtype=np.int32) + width, width)
         j = ids[sibling, -1]
         cand_dims = level_dims[base] + dims[j]
         if dim_target is not None:
@@ -354,8 +381,9 @@ def search(spec: SearchSpec) -> SearchResult:
         # summand has at least the distance of the sum): each other face of
         # the base tuple plus j is a row of this level
         face_keys = faces[base, :-1].astype(np.int64) * count + j[:, None]
-        at = np.searchsorted(keys, face_keys)
-        closed = (keys[np.minimum(at, len(keys) - 1)] == face_keys).all(axis=1)
+        at = np.minimum(np.searchsorted(keys, face_keys), len(keys) - 1)
+        closed = (keys[at] == face_keys).all(axis=1)
+        del face_keys
         picked = closed & (cand_dims <= n - d_min + 1)
         kept, weighed = int(np.count_nonzero(closed)), int(np.count_nonzero(picked))
         counts["pruned"] -= kept
@@ -363,36 +391,40 @@ def search(spec: SearchSpec) -> SearchResult:
         counts["weighed"] += weighed
         if not weighed:
             return None
-        base, sibling, at = base[picked], sibling[picked], at[picked]
+        base, sibling, at = base[picked], sibling[picked], at[picked].astype(np.int32)
         j, cand_dims = j[picked], cand_dims[picked]
         over = too_big[cand_dims]
         if over.any():  # refused at the first frontier tuple with a candidate over the cap
             row = base[np.argmax(over)]
             _check_cap(spec, stage, n, int(cand_dims[base == row].max()))
-        # candidates with the same summand dimensions are weighed at once
+        # candidates with the same summand dimensions are weighed together
         tuples = np.column_stack([ids[base], j])
         signatures = dims[tuples]
-        order = np.lexsort(signatures.T)
+        order = np.lexsort(signatures.T).astype(np.int32)
         signatures = signatures[order]
         starts = np.flatnonzero(np.r_[True, (signatures[1:] != signatures[:-1]).any(axis=1)])
+        groups = list(zip(np.split(order, starts[1:]), signatures[starts].tolist()))
+        del signatures, order
         survived, found = [], []
-        for members, signature in zip(np.split(order, starts[1:]), signatures[starts].tolist()):
+        for members, signature in groups:
             summands = [stacks[k] for k in signature]
             counts["words"] += (len(members) * math.prod(s.shape[-1] for s in summands)
                                 // (spec.q - 1))
-            wd = layout.distributions(summands, slot[tuples[members]])
-            good = ~wd[:, 1:d_min].any(axis=1)
-            survived.append(members[good])
-            found.append(_narrow(wd[good, d_min:]))
-            del wd  # freed before the next group is weighed
+            for a in range(0, len(members), layout.batch):
+                part = members[a:a + layout.batch]
+                wd = layout.distributions(summands, slot[tuples[part]])
+                good = ~wd[:, 1:d_min].any(axis=1)
+                survived.append(part[good])
+                found.append(_narrow(wd[good, d_min:]))
+                del wd  # freed before the next block is weighed
         survived = np.concatenate(survived)
         if not len(survived):
             return None
         order = np.argsort(survived)
         good = survived[order]
         return (tuples[good], cand_dims[good],
-                np.column_stack([at[good], sibling[good], base[good]]).astype(np.int32),
-                np.concatenate(found)[order], base[good] * count + j[good])
+                np.column_stack([at[good], sibling[good], base[good]]),
+                np.concatenate(found)[order], base[good].astype(np.int64) * count + j[good])
 
     survivors = count
     # a dimension target past the codeword cap is refused now if the
@@ -413,7 +445,7 @@ def search(spec: SearchSpec) -> SearchResult:
         live = later[last] < count
         if dim_target is not None:
             live &= level_dims + room[last] <= dim_target
-        frontier = np.flatnonzero(live)
+        frontier = np.flatnonzero(live).astype(np.int32)
         start = later[last[frontier]]
         if dim_target is None:
             counts["candidates"] = int((count - start).sum())
@@ -421,37 +453,37 @@ def search(spec: SearchSpec) -> SearchResult:
             fit = dim_values[:, None] <= dim_target - level_dims[frontier]
             counts["candidates"] = int(later_of_dim[:, start][fit].sum())
         counts["pruned"] = counts["candidates"]  # less the candidates kept
+        _check_work(spec, stage, counts["candidates"])
         # a candidate extends its tuple's last face, the parent, like the
         # tuple itself: it is the last id of a sibling row, one of a later class
         parent = faces[frontier, -1].astype(np.int64) * count
-        first = np.searchsorted(keys, parent + start)
-        widths = np.searchsorted(keys, parent + count) - first
-        ends = np.cumsum(widths)
+        first = np.searchsorted(keys, parent + start).astype(np.int32)
+        widths = (np.searchsorted(keys, parent + count) - first).astype(np.int32)
         levels = []
-        a = survivors = 0
-        while a < len(frontier):
-            # a chunk of frontier rows with at most one batch of pairs (one row at least)
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + layout.batch,
-                                               side="right")))
-            level = weigh_chunk(stage, frontier[a:b], first[a:b], widths[a:b], counts)
-            if level is not None:  # accepted in its chunk, a batch of pairs at most
+        survivors = 0
+        # a window holds at most one block of candidate ids, s per candidate
+        for a, b in _windows(widths, layout.block // stage):
+            level = weigh_window(stage, frontier[a:b], first[a:b], widths[a:b], counts)
+            if level is not None:  # accepted in the window that weighed it
                 survivors += len(level[0])
                 stored = accept(stage, *level[:4])
                 levels.append([part[stored] for part in level])
-            a = b
         if survivors:  # the stored level may be empty: the next stage records its entry
             ids, level_dims, faces, found, keys = (np.concatenate(parts)
                                                    for parts in zip(*levels))
-            levels.clear()  # the chunks' copies, freed before the next frontier
+            levels.clear()  # the windows' copies, freed before the next frontier
             face_levels.append(faces)
             count_levels.append(found)
+        counts["level_bytes"] = level_bytes()
         stats["stages"].append(_stage_stats(stage, counts, survivors, start_time))
 
     # fingerprint deduplication, deterministic order
-    unique = []
+    unique, fields = [], [dec.spec.subfield(c.size) for c in dec.classes]
     for _, ids, wd in best.values():
         dim = int(dims[list(ids)].sum())
-        unique.append(SearchEntry(tuple((classes[j], outers[j]) for j in ids),
+        outers = [LinearCode(fields[classes[j]], spec.index, gens[j], _canonical=True)
+                  for j in ids]
+        unique.append(SearchEntry(tuple(zip([classes[j] for j in ids], outers)),
                                   CodeParams(n, dim, distance=least_weight(wd)),
                                   (n, dim, tuple(int(x) for x in wd))))
     unique.sort(key=lambda e: (e.params.dim, e.fingerprint))

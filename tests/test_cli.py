@@ -430,6 +430,33 @@ def test_search_refuses_a_candidate_past_the_cap_within_a_stage(capsys):
                    "would need 32 > cap 16\n")
 
 
+def test_search_refuses_a_stage_past_the_candidate_cap(capsys):
+    """Stage 3 of this census has 460,186 candidates (stage 4 has 6.9M and
+    runs for minutes): the work cap refuses it before weighing any, and a
+    cap that is not positive is bad input."""
+    argv = ("search", "--q", "2", "--group", "3,3", "--index", "3", "--dmin", "4")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--cap-candidates", "100000")
+    assert (code, out) == (3, "")
+    assert err == "error: search stage 3: candidates: would need 460186 > cap 100000\n"
+    assert time.perf_counter() - start < 20
+    for value in ("0", "-5"):
+        code, _, err = run(capsys, *argv, "--cap-candidates", value)
+        assert code == 2 and "candidate cap must be positive" in err
+
+
+def test_search_json_reports_level_bytes(capsys):
+    """Every stage entry of `search --json` carries the bytes the stored
+    levels have held, which never fall from one stage to the next."""
+    for dim in ([], ["--dim", "2"]):
+        code, out, _ = run(capsys, "--json", "search", "--q", "3", "--group", "2,2",
+                           "--index", "3", "--dmin", "4", *dim)
+        assert code == 0
+        held = [s["level_bytes"] for s in json.loads(out)["stats"]["stages"]]
+        assert len(held) >= 3 and all(type(b) is int for b in held)
+        assert held == sorted(held) and held[0] > 0
+
+
 @pytest.mark.parametrize("dim", ["0", "-3"])
 def test_search_rejects_nonpositive_dimension_target(capsys, dim):
     code, out, err = run(capsys, "--no-banner", "search", "--q", "2", "--group", "3,3",

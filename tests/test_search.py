@@ -1,5 +1,6 @@
 """Staged search: soundness, stage-1 completeness, determinism."""
 
+import importlib
 import itertools
 import tracemalloc
 
@@ -10,10 +11,11 @@ from qacodes import linear_codes
 from qacodes.algebra import AbelianGroup
 from qacodes.concatenation import is_qa, qa_from_constituents
 from qacodes.idempotents import decompose_algebra
-from qacodes.linear_codes import LinearCode, gaussian_binomial, word_layout
+from qacodes.linear_codes import LinearCode, WordLayout, gaussian_binomial, word_layout
 from qacodes.search import SearchSpec, search, stage1_filter
 
 G33 = AbelianGroup((3, 3))
+search_module = importlib.import_module("qacodes.search")  # `qacodes.search` is the function
 
 
 def test_target_beyond_length_is_empty():
@@ -178,6 +180,58 @@ def test_search_streams_large_sums(monkeypatch):
             batch = word_layout(decompose_algebra(spec.group, spec.q).spec.subfield(1), n).batch
             assert all(s["candidates"] - s["pruned"] > 2 * batch
                        for s in got.stats["stages"][1:] if s["candidates"])
+
+
+def test_search_windows_and_counter_blocks(monkeypatch):
+    """A stage is selected in windows of at most one block of candidate ids
+    (block // s sibling pairs at stage s, or a single frontier row) and
+    weighed at most one block of counters (`WordLayout.batch` candidates)
+    to a `distributions` call.  At blocks of 3, 64 and 4096 codewords the
+    results and every stage count equal those of the unpatched search, some
+    stage spans three windows or more, and some window weighs more than one
+    block of counters."""
+    specs = [SearchSpec(q=2, group=G33, index=2, d_min=8),
+             SearchSpec(q=3, group=AbelianGroup((2, 2)), index=2, d_min=3),
+             SearchSpec(q=4, group=G33, index=2, d_min=12)]
+    whole = [search(spec) for spec in specs]
+    events = []
+    windows, distributions = search_module._windows, WordLayout.distributions
+
+    def spy_windows(widths, pairs):
+        stage = []  # per window: its pairs, its rows and the candidates it weighs
+        events.append(stage)
+        for a, b in windows(widths, pairs):
+            stage.append([int(widths[a:b].sum()), b - a, pairs, 0])
+            yield a, b
+
+    def spy_distributions(layout, stacks, rows):
+        m = len(np.asarray(rows).reshape(-1, len(stacks)))
+        assert m <= layout.batch
+        if events and events[-1]:
+            events[-1][-1][-1] += m
+        return distributions(layout, stacks, rows)
+
+    monkeypatch.setattr(search_module, "_windows", spy_windows)
+    monkeypatch.setattr(WordLayout, "distributions", spy_distributions)
+    for block in (3, 64, 4096):
+        monkeypatch.setattr(linear_codes, "_BLOCK_CODEWORDS", block)
+        events.clear()
+        weighed_past_batch = False
+        for spec, want in zip(specs, whole):
+            start = len(events) + 1
+            events.append(None)  # stage 1 weighs outside the windows
+            got = search(spec)
+            assert [(e.assignment, e.fingerprint) for e in got.codes] == \
+                [(e.assignment, e.fingerprint) for e in want.codes]
+            assert _stage_counts(got) == _stage_counts(want)
+            n = spec.group.size * spec.index
+            batch = word_layout(decompose_algebra(spec.group, spec.q).spec.subfield(1), n).batch
+            weighed_past_batch |= any(w[3] > batch for stage in events[start:] for w in stage)
+        stages = [stage for stage in events if stage is not None]
+        assert all(pairs <= bound or rows == 1
+                   for stage in stages for pairs, rows, bound, _ in stage)
+        assert any(len(stage) >= 3 for stage in stages)
+        assert weighed_past_batch
 
 
 def _random_outer(rng, field, length, dim):
